@@ -40,9 +40,7 @@
 use std::time::Instant;
 
 use nanomap_arch::{ChannelConfig, DefectMap, Grid};
-use nanomap_netlist::{LutNetwork, PlaneSet};
 use nanomap_observe::span;
-use nanomap_pack::{extract_nets, pack, TemporalDesign};
 use nanomap_place::adopt_assignment;
 use nanomap_sat::{
     solve_assignment, AssignOutcome, AssignmentProblem, CapacityGroup, SolverOptions,
@@ -50,10 +48,10 @@ use nanomap_sat::{
 
 use crate::budget::{CancelToken, Degradation};
 use crate::error::FlowError;
-use crate::flow::{NanoMap, ResumeProducts};
-use crate::folding::FoldingConfig;
+use crate::flow::NanoMap;
 use crate::recovery::{RecoveryAttempt, RecoveryLog, Remedy};
 use crate::report::{MappingReport, PhaseTimes};
+use crate::select::{CandidateEval, Packed};
 
 /// Grid growth factor between exact-rung sizing attempts.
 const GRID_GROWTH: f64 = 1.3;
@@ -177,26 +175,31 @@ impl NanoMap {
     /// a shallow folding with fewer NRAM sets is often solvable on a
     /// fabric where the deep preferred candidate is provably not.
     ///
-    /// Per grid size: re-evaluates the candidate (deterministic),
-    /// re-packs, encodes per-cluster slot domains from the precise
-    /// active-set view, solves, re-validates the model through
-    /// [`adopt_assignment`], and re-runs routing/timing on the adopted
-    /// placement. A routed model returns `Success`; a proof of
-    /// unsatisfiability on the largest grid (guards relaxed) returns
-    /// `Infeasible`; an interrupted solve or a model that will not
-    /// route returns `Exhausted`.
-    #[allow(clippy::too_many_arguments)]
+    /// The candidate's cached packing fixes the cell-to-slot problem,
+    /// so every grid size shares it. Per grid size: encodes per-cluster
+    /// slot domains from the precise active-set view, solves,
+    /// re-validates the model through [`adopt_assignment`], and re-runs
+    /// routing/timing on the adopted placement. A routed model returns
+    /// `Success`; a proof of unsatisfiability on the largest grid
+    /// (guards relaxed) returns `Infeasible`; an interrupted solve or a
+    /// model that will not route returns `Exhausted`.
     pub(crate) fn exact_assign_rung(
         &self,
-        net: &LutNetwork,
-        planes: &PlaneSet,
-        config: FoldingConfig,
+        eval: &CandidateEval<'_>,
         cand_rank: usize,
         times: PhaseTimes,
         base_degradations: &[Degradation],
         recovery: &mut RecoveryLog,
         token: &CancelToken,
     ) -> ExactRungResult {
+        let config = eval.config;
+        let design = &eval.design;
+        let Packed { packing, nets, .. } = match eval.packed(&self.arch, self.pack_options) {
+            Ok(p) => p,
+            Err(e) => return ExactRungResult::Fatal(e),
+        };
+        let n = packing.num_smbs;
+        let required = packing.required_sets(design);
         let overrides =
             Remedy::ExactAssign.apply(self.place_options, self.route_options, self.channels);
         let base_slack = overrides.place.grid_slack;
@@ -208,26 +211,7 @@ impl NanoMap {
             }
             let attempt_start = Instant::now();
             let slack = base_slack * GRID_GROWTH.powi(sizing as i32);
-
-            // Re-evaluate to own the schedules (FDS is deterministic,
-            // so this reproduces the heuristic rungs' logic mapping
-            // bit for bit), then build the temporal design and packing
-            // the encoder works from.
-            let (eval, _) = match self.evaluate_budgeted(net, planes, config, token) {
-                Ok(v) => v,
-                Err(e) => return ExactRungResult::Fatal(e),
-            };
-            let design = match TemporalDesign::new(net, planes, eval.graphs, eval.schedules) {
-                Ok(d) => d,
-                Err(e) => return ExactRungResult::Fatal(e.into()),
-            };
-            let packing = match pack(&design, &self.arch, self.pack_options) {
-                Ok(p) => p,
-                Err(e) => return ExactRungResult::Fatal(e.into()),
-            };
-            let n = packing.num_smbs;
             let grid = Grid::with_capacity(((f64::from(n) * slack).ceil() as u32).max(n));
-            let required = packing.required_sets(&design);
 
             // Per-cluster slot domains from the precise active-set
             // view; this is where the rung sees slots the heuristic
@@ -294,11 +278,10 @@ impl NanoMap {
                 AssignOutcome::Assigned(slot_of_smb) => {
                     // Trust boundary: re-validate the model from
                     // scratch before adopting it.
-                    let nets = extract_nets(&design, &packing);
                     let adopted = adopt_assignment(
-                        &design,
-                        &packing,
-                        &nets,
+                        design,
+                        packing,
+                        nets,
                         &overrides.channels,
                         &self.timing,
                         overrides.place.weights,
@@ -318,31 +301,17 @@ impl NanoMap {
                             });
                         }
                     };
-                    drop(design);
-                    // Re-evaluate for the finishing pipeline (it
-                    // consumes the schedules) and inject the solver
-                    // placement; routing, timing, bitmaps and
-                    // verification all run the normal path.
-                    let (eval, fds_degradation) =
-                        match self.evaluate_budgeted(net, planes, config, token) {
-                            Ok(v) => v,
-                            Err(e) => return ExactRungResult::Fatal(e),
-                        };
+                    // Inject the solver placement; routing, timing,
+                    // bitmaps and verification all run the normal path.
                     let mut degradations = base_degradations.to_vec();
-                    degradations.extend(fds_degradation);
+                    degradations.extend(eval.degradation.clone());
                     match self.finish_candidate(
-                        net,
-                        planes,
-                        config,
                         eval,
                         times,
                         &overrides,
                         token,
                         None,
-                        ResumeProducts {
-                            packing: Some(packing),
-                            placement: Some((grid, pos_of)),
-                        },
+                        Some((grid, pos_of)),
                         &mut degradations,
                     ) {
                         Ok(report) => {
@@ -449,6 +418,7 @@ mod tests {
     use super::*;
     use nanomap_arch::{ArchParams, SmbPos};
     use nanomap_netlist::rtl::{CombOp, RtlBuilder, RtlCircuit};
+    use nanomap_netlist::{LutNetwork, PlaneSet};
     use nanomap_techmap::{expand, ExpandOptions};
 
     use crate::folding::candidate_configs;
@@ -636,13 +606,12 @@ mod tests {
         );
         let token = CancelToken::with_budget_ms(None);
         for config in candidate_configs(&planes, flow.arch.num_reconf) {
-            let Ok((eval, _)) = flow.evaluate_budgeted(&net, &planes, config, &token) else {
+            let Ok(eval) = flow.evaluate(&net, &planes, config, &token) else {
                 println!("{config:?}: infeasible");
                 continue;
             };
-            let design = TemporalDesign::new(&net, &planes, eval.graphs, eval.schedules).unwrap();
-            let packing = pack(&design, &flow.arch, flow.pack_options).unwrap();
-            let required = packing.required_sets(&design);
+            let packing = &eval.packed(&flow.arch, flow.pack_options).unwrap().packing;
+            let required = packing.required_sets(&eval.design);
             let num_sets = required
                 .iter()
                 .flat_map(|s| s.iter())

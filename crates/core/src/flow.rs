@@ -1,13 +1,13 @@
 //! The NanoMap optimization flow (Fig. 2 of the paper).
 //!
 //! Given a mapped LUT network (or RTL that this crate expands first), the
-//! flow: identifies planes, enumerates folding configurations, runs
-//! force-directed scheduling per candidate to obtain LE usage and delay,
-//! selects the best candidate under the user's [`Objective`], then runs
-//! temporal clustering, two-step placement, PathFinder routing and
-//! configuration-bitmap generation. If placement/routing fail, the flow
-//! returns to logic mapping with the next folding configuration — the
-//! iterative loop of steps 2–15.
+//! flow: identifies planes, enumerates folding configurations, bounds
+//! each analytically and runs force-directed scheduling in bound order
+//! until the best candidate under the user's [`Objective`] is known
+//! ([`Selection`]), then runs temporal clustering, two-step placement,
+//! PathFinder routing and configuration-bitmap generation. If
+//! placement/routing fail, the flow returns to logic mapping with the
+//! next folding configuration — the iterative loop of steps 2–15.
 
 // The flow sits directly behind the CLI: every failure on user input
 // must surface as a `FlowError`, never a panic.
@@ -19,16 +19,16 @@ use nanomap_arch::{
 };
 use nanomap_netlist::rtl::RtlCircuit;
 use nanomap_netlist::{LutNetwork, PlaneSet};
-use nanomap_pack::{extract_nets, pack, PackOptions, Packing, TemporalDesign};
+use nanomap_pack::PackOptions;
 use nanomap_place::{place_with_defects_budgeted, PlaceOptions, Placement};
 use nanomap_route::{route_design_budgeted, RouteOptions};
-use nanomap_sched::{schedule_fds_budgeted, FdsOptions, ItemGraph, LeShape, Schedule};
+use nanomap_sched::{FdsOptions, ItemGraph, LeShape};
 use nanomap_techmap::{expand, ExpandOptions};
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use nanomap_observe::span;
+use nanomap_observe::{span, SpanGuard};
 
 use crate::budget::{CancelToken, Degradation};
 use crate::checkpoint::{
@@ -37,12 +37,13 @@ use crate::checkpoint::{
 };
 use crate::error::FlowError;
 use crate::exact::ExactRungResult;
-use crate::folding::{candidate_configs, FoldingConfig, PlaneSharing};
+use crate::folding::FoldingConfig;
 use crate::objective::Objective;
 use crate::recovery::{
     PhysicalOverrides, RecoveryAttempt, RecoveryLog, Remedy, LADDER, MAX_TOTAL_ATTEMPTS,
 };
 use crate::report::{MappingReport, PhaseTimes, PhysicalReport};
+use crate::select::{CandidateEval, Packed, Selection};
 use crate::verify::check_folded_execution;
 
 /// The NanoMap flow, configured for one NATURE instance.
@@ -273,96 +274,27 @@ impl NanoMap {
         let total_start = Instant::now();
         self.publish_run_start(net, objective);
         let mut flow_span = span!("flow", circuit = net.name());
-        let mut times = PhaseTimes::default();
         let planes = PlaneSet::extract(net)?;
-        let candidates = candidate_configs(&planes, self.arch.num_reconf);
+        let mut selection = Selection::new(self, net, &planes, objective);
+        let result = self.map_selection(&mut selection, &mut flow_span, token, total_start);
+        nanomap_observe::incr("flow.candidates_pruned", selection.pruned() as u64);
+        result
+    }
 
-        // --- Logic mapping: evaluate candidates (steps 2-6). ---
-        let select_start = Instant::now();
-        let mut evaluated: Vec<(FoldingConfig, CandidateEval)> = Vec::new();
-        let mut select_degradation: Option<Degradation> = None;
-        {
-            let _select_span = span!("folding-select", candidates = candidates.len());
-            for config in &candidates {
-                // Budget gone: stop enumerating once at least one
-                // feasible candidate exists — a truncated preference
-                // order beats no mapping at all.
-                if token.expired()
-                    && evaluated
-                        .iter()
-                        .any(|(_, e)| objective.admits(e.les, e.delay_ns))
-                {
-                    select_degradation = Some(Degradation {
-                        phase: "folding-select".into(),
-                        reason: format!(
-                            "time budget expired after {} of {} folding candidates",
-                            evaluated.len(),
-                            candidates.len()
-                        ),
-                        completed_iterations: evaluated.len() as u64,
-                        qor_estimate: (candidates.len() - evaluated.len()) as f64,
-                    });
-                    break;
-                }
-                let mut cand_span = span!("candidate", stages = config.stages);
-                cand_span.attr("level", config.level);
-                nanomap_observe::incr("flow.candidates_evaluated", 1);
-                // During selection only the estimates matter, not the
-                // schedules; a budget-truncated FDS estimate is kept (its
-                // degradation resurfaces when the winning candidate is
-                // re-evaluated below).
-                match self.evaluate_budgeted(net, &planes, *config, token) {
-                    Ok((eval, _)) => evaluated.push((*config, eval)),
-                    Err(FlowError::Sched(_)) => {
-                        // Infeasible stage count.
-                        nanomap_observe::incr("flow.candidates_rejected_sched", 1);
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        times.folding_select_ms = select_start.elapsed().as_secs_f64() * 1e3;
-        if evaluated.is_empty() {
-            return Err(FlowError::NoFeasibleFolding {
-                reason: "no folding configuration schedules feasibly".into(),
-            });
-        }
-        // Order by objective preference among constraint-satisfying
-        // candidates; keep a constraint-violating fallback ordering too so
-        // physical failures can degrade gracefully.
-        let mut order: Vec<usize> = (0..evaluated.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ca, ea) = &evaluated[a];
-            let (cb, eb) = &evaluated[b];
-            let fa = objective.admits(ea.les, ea.delay_ns);
-            let fb = objective.admits(eb.les, eb.delay_ns);
-            match (fa, fb) {
-                (true, false) => std::cmp::Ordering::Less,
-                (false, true) => std::cmp::Ordering::Greater,
-                _ => {
-                    if objective.prefers(ea.les, ea.delay_ns, eb.les, eb.delay_ns) {
-                        std::cmp::Ordering::Less
-                    } else if objective.prefers(eb.les, eb.delay_ns, ea.les, ea.delay_ns) {
-                        std::cmp::Ordering::Greater
-                    } else {
-                        ca.stages.cmp(&cb.stages)
-                    }
-                }
-            }
-        });
-        let best_feasible = {
-            let (_, e) = &evaluated[order[0]];
-            objective.admits(e.les, e.delay_ns)
-        };
-        if !best_feasible {
-            let (_, e) = &evaluated[order[0]];
-            return Err(FlowError::NoFeasibleFolding {
-                reason: format!(
-                    "best candidate needs {} LEs / {:.2} ns, outside the constraints",
-                    e.les, e.delay_ns
-                ),
-            });
+    /// Selection, the recovery ladder and the exact rung of one fresh
+    /// mapping.
+    fn map_selection(
+        &self,
+        selection: &mut Selection<'_>,
+        flow_span: &mut SpanGuard,
+        token: &CancelToken,
+        total_start: Instant,
+    ) -> Result<MappingReport, FlowError> {
+        // --- Logic mapping: pick the folding candidate (steps 2-6). ---
+        let mut times = PhaseTimes::default();
+        let select_degradation = selecting(selection, &mut times, |s| s.select(token))?;
+        if selection.winner().is_none() {
+            return Err(selection.infeasibility());
         }
 
         // --- Physical design (steps 7-15) under the recovery ladder:
@@ -371,12 +303,16 @@ impl NanoMap {
         // Every failed attempt lands in the RecoveryLog. ---
         let mut recovery = RecoveryLog::new();
         let base_degradations: Vec<Degradation> = select_degradation.into_iter().collect();
-        'candidates: for (cand_rank, &idx) in order.iter().enumerate() {
-            let (config, cached) = &evaluated[idx];
-            let config = *config;
-            if !objective.admits(cached.les, cached.delay_ns) {
-                break; // remaining candidates violate constraints
+        'candidates: for cand_rank in 0.. {
+            if cand_rank > 0 && !selection.is_complete() {
+                // The ladder falls back: only now is the full order needed.
+                selecting(selection, &mut times, |s| s.rank_all(token).map(drop))?;
             }
+            // Remaining candidates, if any, violate the constraints.
+            let Some(eval) = selection.admitted(cand_rank) else {
+                break;
+            };
+            let config = eval.config;
             if cand_rank > 0 {
                 recovery.record_candidate_fallback();
             }
@@ -390,38 +326,28 @@ impl NanoMap {
                 if token.expired() && !recovery.attempts.is_empty() {
                     break 'candidates;
                 }
-                // Re-evaluate to own the schedules (cheap relative to
-                // P&R; finish_candidate consumes them).
                 let attempt_start = Instant::now();
-                let (eval, fds_degradation) =
-                    self.evaluate_budgeted(net, &planes, config, token)?;
-                times.fds_ms = attempt_start.elapsed().as_secs_f64() * 1e3;
                 let overrides = remedy.apply(self.place_options, self.route_options, self.channels);
                 let mut writer = self.checkpoint_writer(
-                    net,
-                    &objective,
+                    eval,
+                    &selection.objective(),
                     cand_rank,
-                    config,
                     remedy,
                     &overrides,
-                    &eval.schedules,
                     &recovery,
                 )?;
                 if let Some(w) = writer.as_mut() {
                     w.write_fds()?;
                 }
                 let mut attempt_degradations = base_degradations.clone();
-                attempt_degradations.extend(fds_degradation);
+                attempt_degradations.extend(eval.degradation.clone());
                 match self.finish_candidate(
-                    net,
-                    &planes,
-                    config,
                     eval,
                     times,
                     &overrides,
                     token,
                     writer.as_mut(),
-                    ResumeProducts::default(),
+                    None,
                     &mut attempt_degradations,
                 ) {
                     Ok(report) => {
@@ -440,27 +366,18 @@ impl NanoMap {
                         );
                     }
                     Err(e @ (FlowError::Place(_) | FlowError::Route(_))) => {
-                        let phase = match &e {
-                            FlowError::Place(_) => "place",
-                            _ => "route",
-                        };
-                        recovery.record(RecoveryAttempt {
-                            attempt: recovery.total_attempts(),
-                            candidate: cand_rank,
-                            folding_level: config.level,
-                            stages: config.stages,
-                            remedy,
-                            phase,
-                            error: e.to_string(),
-                            wall_us: attempt_start.elapsed().as_micros() as u64,
-                        });
+                        record_failed(&mut recovery, &e, cand_rank, config, remedy, attempt_start);
                         continue;
                     }
                     Err(e) => return Err(e),
                 }
             }
-            // The whole ladder failed for this candidate.
+            // The whole ladder failed for this candidate; only the exact
+            // rung could map it again.
             nanomap_observe::incr("flow.candidates_rejected_physical", 1);
+            if !self.exact_recovery {
+                selection.release(cand_rank);
+            }
         }
         // --- The complete final rung: exact SAT-based slot assignment,
         // opt-in, run only once every heuristic rung of every candidate
@@ -470,21 +387,23 @@ impl NanoMap {
         // candidate is not — and claims infeasibility only when every
         // candidate is proven unsatisfiable. ---
         if self.exact_recovery && !token.expired() && !recovery.attempts.is_empty() {
+            if !selection.is_complete() {
+                selecting(selection, &mut times, |s| s.rank_all(token).map(drop))?;
+            }
             let mut best_unsat = None;
             let mut all_proven = true;
-            for (cand_rank, &idx) in order.iter().enumerate() {
-                let (config, cached) = &evaluated[idx];
-                if !objective.admits(cached.les, cached.delay_ns) {
-                    break; // remaining candidates violate constraints
-                }
+            for cand_rank in 0.. {
+                // Remaining candidates, if any, violate the constraints.
+                let Some(eval) = selection.admitted(cand_rank) else {
+                    break;
+                };
                 if token.expired() {
                     all_proven = false;
                     break;
                 }
+                let level = eval.config.level;
                 match self.exact_assign_rung(
-                    net,
-                    &planes,
-                    *config,
+                    eval,
                     cand_rank,
                     times,
                     &base_degradations,
@@ -492,7 +411,7 @@ impl NanoMap {
                     token,
                 ) {
                     ExactRungResult::Success(report, degradations) => {
-                        flow_span.attr("folding_level", config.level);
+                        flow_span.attr("folding_level", level);
                         flow_span.attr("num_les", report.num_les);
                         flow_span.attr("exact_recovery", 1u64);
                         return self.finalize(
@@ -514,6 +433,9 @@ impl NanoMap {
                     ExactRungResult::Exhausted => all_proven = false,
                     ExactRungResult::Fatal(e) => return Err(e),
                 }
+                // Done with this candidate: free its logic mapping and
+                // clustering before the next one solves.
+                selection.release(cand_rank);
             }
             // An interrupted or routing-starved candidate means the
             // infeasibility claim would be unsound; fall through to the
@@ -542,10 +464,11 @@ impl NanoMap {
     /// the same netlist, objective and architecture.
     ///
     /// The checkpoint pins the folding candidate and recovery-ladder
-    /// rung; restored products (schedules, packing, placement) skip
-    /// their phases, and the remaining phases re-run deterministically,
-    /// reproducing the uninterrupted run's report. Should the pinned
-    /// rung still fail, the ladder climbs from there.
+    /// rung. The checkpointed schedules stand in for FDS and a restored
+    /// packing for clustering; a restored placement skips placement on
+    /// the first resumed rung. The remaining phases re-run
+    /// deterministically, reproducing the uninterrupted run's report.
+    /// Should the pinned rung still fail, the ladder climbs from there.
     ///
     /// # Errors
     ///
@@ -569,6 +492,7 @@ impl NanoMap {
         let config = checkpoint.folding_config();
         // Rebuild the item graphs (cheap and deterministic) and restore
         // the checkpointed schedules onto them.
+        let restore_start = Instant::now();
         let level = config.level.unwrap_or_else(|| planes.depth_max().max(1));
         let mut graphs = Vec::new();
         for plane in planes.planes() {
@@ -598,31 +522,21 @@ impl NanoMap {
             }
             schedules.push(snapshot.restore());
         }
+        let mut eval = CandidateEval::new(self, net, &planes, config, graphs, schedules, None)?;
+        if let Some(packing) = &checkpoint.packing {
+            eval = eval.with_packing(packing.restore());
+        }
+        times.fds_ms = restore_start.elapsed().as_secs_f64() * 1e3;
+        let mut placement = match checkpoint.placement.as_ref() {
+            Some(p) => Some(p.restore().map_err(FlowError::Checkpoint)?),
+            None => None,
+        };
         let mut recovery = checkpoint.recovery.clone();
         recovery.succeeded_with = None;
         let start_rung = LADDER
             .iter()
             .position(|&r| r == checkpoint.remedy)
             .unwrap_or(0);
-        // The first resumed rung consumes the restored products; any
-        // later rung re-runs its phases from scratch.
-        let mut restored = {
-            let (les, delay_ns) = self.assess(net, &planes, config, &graphs, &schedules);
-            let packing = checkpoint.packing.as_ref().map(|p| p.restore());
-            let placement = match checkpoint.placement.as_ref() {
-                Some(p) => Some(p.restore().map_err(FlowError::Checkpoint)?),
-                None => None,
-            };
-            Some((
-                CandidateEval {
-                    les,
-                    delay_ns,
-                    graphs,
-                    schedules,
-                },
-                ResumeProducts { packing, placement },
-            ))
-        };
         for &remedy in &LADDER[start_rung..] {
             if recovery.total_attempts() >= MAX_TOTAL_ATTEMPTS {
                 break;
@@ -632,39 +546,25 @@ impl NanoMap {
             }
             let attempt_start = Instant::now();
             let overrides = remedy.apply(self.place_options, self.route_options, self.channels);
-            let (eval, resume, fds_degradation) = match restored.take() {
-                Some((eval, products)) => (eval, products, None),
-                None => {
-                    let fds_start = Instant::now();
-                    let (eval, d) = self.evaluate_budgeted(net, &planes, config, &token)?;
-                    times.fds_ms = fds_start.elapsed().as_secs_f64() * 1e3;
-                    (eval, ResumeProducts::default(), d)
-                }
-            };
             let mut writer = self.checkpoint_writer(
-                net,
+                &eval,
                 &objective,
                 checkpoint.candidate_rank,
-                config,
                 remedy,
                 &overrides,
-                &eval.schedules,
                 &recovery,
             )?;
             if let Some(w) = writer.as_mut() {
                 w.write_fds()?;
             }
-            let mut attempt_degradations: Vec<Degradation> = fds_degradation.into_iter().collect();
+            let mut attempt_degradations = Vec::new();
             match self.finish_candidate(
-                net,
-                &planes,
-                config,
-                eval,
+                &eval,
                 times,
                 &overrides,
                 &token,
                 writer.as_mut(),
-                resume,
+                placement.take(),
                 &mut attempt_degradations,
             ) {
                 Ok(report) => {
@@ -683,20 +583,14 @@ impl NanoMap {
                     );
                 }
                 Err(e @ (FlowError::Place(_) | FlowError::Route(_))) => {
-                    let phase = match &e {
-                        FlowError::Place(_) => "place",
-                        _ => "route",
-                    };
-                    recovery.record(RecoveryAttempt {
-                        attempt: recovery.total_attempts(),
-                        candidate: checkpoint.candidate_rank,
-                        folding_level: config.level,
-                        stages: config.stages,
+                    record_failed(
+                        &mut recovery,
+                        &e,
+                        checkpoint.candidate_rank,
+                        config,
                         remedy,
-                        phase,
-                        error: e.to_string(),
-                        wall_us: attempt_start.elapsed().as_micros() as u64,
-                    });
+                        attempt_start,
+                    );
                     continue;
                 }
                 Err(e) => return Err(e),
@@ -705,9 +599,7 @@ impl NanoMap {
         // A resumed run earns the same final rung as a fresh one.
         if self.exact_recovery && !token.expired() && !recovery.attempts.is_empty() {
             match self.exact_assign_rung(
-                net,
-                &planes,
-                config,
+                &eval,
                 checkpoint.candidate_rank,
                 times,
                 &[],
@@ -818,24 +710,23 @@ impl NanoMap {
 
     /// Builds the checkpoint writer for one physical-design attempt,
     /// when a checkpoint directory is configured.
-    #[allow(clippy::too_many_arguments)]
     fn checkpoint_writer(
         &self,
-        net: &LutNetwork,
+        eval: &CandidateEval<'_>,
         objective: &Objective,
         candidate_rank: usize,
-        config: FoldingConfig,
         remedy: Remedy,
         overrides: &PhysicalOverrides,
-        schedules: &[Schedule],
         recovery: &RecoveryLog,
     ) -> Result<Option<CheckpointWriter>, FlowError> {
         let Some(dir) = &self.checkpoint_dir else {
             return Ok(None);
         };
+        let design = &eval.design;
+        let config = eval.config;
         let checkpoint = Checkpoint {
-            circuit: net.name().to_string(),
-            netlist_hash: netlist_fingerprint(net),
+            circuit: design.net.name().to_string(),
+            netlist_hash: netlist_fingerprint(design.net),
             objective: objective.key(),
             lut_inputs: self.arch.lut_inputs,
             luts_per_le: self.arch.luts_per_le,
@@ -849,142 +740,16 @@ impl NanoMap {
             remedy,
             place_seed: overrides.place.seed,
             route_seed: overrides.route.seed,
-            schedules: schedules.iter().map(ScheduleSnapshot::capture).collect(),
+            schedules: design
+                .schedules
+                .iter()
+                .map(ScheduleSnapshot::capture)
+                .collect(),
             recovery: recovery.clone(),
             packing: None,
             placement: None,
         };
         Ok(Some(CheckpointWriter::new(dir, checkpoint)?))
-    }
-
-    /// Logic-mapping evaluation of one folding configuration: schedules
-    /// every plane (polling the cancel token at FDS round boundaries)
-    /// and computes LE usage and analytical delay. Returns the merged
-    /// per-plane degradation when the budget truncated any FDS run.
-    pub(crate) fn evaluate_budgeted(
-        &self,
-        net: &LutNetwork,
-        planes: &PlaneSet,
-        config: FoldingConfig,
-        token: &CancelToken,
-    ) -> Result<(CandidateEval, Option<Degradation>), FlowError> {
-        let mut graphs = Vec::new();
-        let mut schedules = Vec::new();
-        let mut degradation: Option<Degradation> = None;
-        match config.level {
-            None => {
-                // No folding: trivial single-stage schedules, nothing for
-                // the budget to truncate.
-                for plane in planes.planes() {
-                    let graph = ItemGraph::build(net, plane, planes.depth_max().max(1))?;
-                    let n = graph.len();
-                    graphs.push(graph);
-                    schedules.push(Schedule::new(vec![0; n], 1));
-                }
-            }
-            Some(p) => {
-                let stages = config.stages;
-                for plane in planes.planes() {
-                    let graph = ItemGraph::build(net, plane, p)?;
-                    let scheduled = schedule_fds_budgeted(net, &graph, stages, self.fds, token)?;
-                    let (schedule, plane_degradation) = scheduled.into_parts();
-                    if let Some(d) = plane_degradation {
-                        // Merge per-plane degradations: first reason wins,
-                        // iteration counts accumulate, worst estimate kept.
-                        match degradation.as_mut() {
-                            Some(merged) => {
-                                merged.completed_iterations += d.completed_iterations;
-                                merged.qor_estimate = merged.qor_estimate.max(d.qor_estimate);
-                            }
-                            None => degradation = Some(d),
-                        }
-                    }
-                    graphs.push(graph);
-                    schedules.push(schedule);
-                }
-            }
-        }
-        let (les, delay_ns) = self.assess(net, planes, config, &graphs, &schedules);
-        Ok((
-            CandidateEval {
-                les,
-                delay_ns,
-                graphs,
-                schedules,
-            },
-            degradation,
-        ))
-    }
-
-    /// LE usage and analytical delay of a scheduled candidate — shared
-    /// by fresh evaluation and checkpoint resume, so a restored schedule
-    /// reproduces the original estimates bit for bit.
-    fn assess(
-        &self,
-        net: &LutNetwork,
-        planes: &PlaneSet,
-        config: FoldingConfig,
-        graphs: &[ItemGraph],
-        schedules: &[Schedule],
-    ) -> (u32, f64) {
-        let num_planes = planes.num_planes() as u32;
-        let shape = self.fds.shape;
-        let total_ff_bits = net.num_ffs() as u32;
-        match config.level {
-            None => {
-                // No folding: every LUT owns an LE; registers live in the
-                // LE flip-flops.
-                let total_luts = net.num_luts() as u32;
-                let les = total_luts.max(total_ff_bits.div_ceil(shape.ffs));
-                let delay_ns = self
-                    .timing
-                    .circuit_delay_no_folding(num_planes, planes.depth_max());
-                (les, delay_ns)
-            }
-            Some(p) => {
-                let stages = config.stages;
-                let les = match config.sharing {
-                    PlaneSharing::Shared => {
-                        // All planes reuse the same LEs: peak over planes,
-                        // with every circuit register alive throughout.
-                        let mut peak = 0;
-                        for (plane_idx, _plane) in planes.planes().iter().enumerate() {
-                            // The DGs inside FDS follow the paper's
-                            // weight_i storage estimate; the final LE
-                            // accounting counts, bit by bit, the values
-                            // that truly cross folding cycles.
-                            let usage = schedules[plane_idx].le_usage_exact(
-                                net,
-                                &graphs[plane_idx],
-                                total_ff_bits,
-                                shape,
-                            );
-                            peak = peak.max(usage.peak);
-                        }
-                        peak
-                    }
-                    PlaneSharing::PerPlane => {
-                        // Each plane owns LEs sized by its own peak, with
-                        // its adjacent registers resident.
-                        let owner = ff_owners(planes, net.num_ffs());
-                        let mut total = 0;
-                        for (plane_idx, _) in planes.planes().iter().enumerate() {
-                            let reg_bits = owner.iter().filter(|&&o| o == plane_idx).count() as u32;
-                            let usage = schedules[plane_idx].le_usage_exact(
-                                net,
-                                &graphs[plane_idx],
-                                reg_bits,
-                                shape,
-                            );
-                            total += usage.peak;
-                        }
-                        total
-                    }
-                };
-                let delay_ns = self.timing.circuit_delay(num_planes, stages, p);
-                (les, delay_ns)
-            }
-        }
     }
 
     /// Clustering, placement, routing, bitmap and verification for the
@@ -999,25 +764,23 @@ impl NanoMap {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish_candidate(
         &self,
-        net: &LutNetwork,
-        planes: &PlaneSet,
-        config: FoldingConfig,
-        eval: CandidateEval,
+        eval: &CandidateEval<'_>,
         mut times: PhaseTimes,
         overrides: &PhysicalOverrides,
         token: &CancelToken,
         mut ckpt: Option<&mut CheckpointWriter>,
-        mut resume: ResumeProducts,
+        placement: Option<(Grid, Vec<SmbPos>)>,
         degradations: &mut Vec<Degradation>,
     ) -> Result<MappingReport, FlowError> {
-        let design = TemporalDesign::new(net, planes, eval.graphs, eval.schedules)?;
+        let design = &eval.design;
+        let (net, planes, config) = (design.net, design.planes, eval.config);
         {
             // The verify span is always emitted so the phase set is
             // complete; the attribute records whether it actually ran.
             let mut verify_span = span!("verify", skipped = !self.verify);
             if self.verify {
                 let verify_start = Instant::now();
-                let check = check_folded_execution(&design, self.verify_cycles, 0xFEED);
+                let check = check_folded_execution(design, self.verify_cycles, 0xFEED);
                 times.verify_ms = verify_start.elapsed().as_secs_f64() * 1e3;
                 verify_span.attr("cycles", self.verify_cycles as u64);
                 if let Some(detail) = check.failure {
@@ -1027,25 +790,19 @@ impl NanoMap {
         }
         let mut explain = None;
         let physical = if self.run_physical {
-            let pack_start = Instant::now();
-            let packing = match resume.packing.take() {
-                Some(packing) => packing,
-                None => {
-                    let _span = span!("pack", slices = design.num_slices());
-                    pack(&design, &self.arch, self.pack_options)?
-                }
-            };
-            let nets = extract_nets(&design, &packing);
-            times.pack_ms = pack_start.elapsed().as_secs_f64() * 1e3;
+            // Clustered once per candidate; every attempt that maps the
+            // candidate reports that one clustering's time.
+            let Packed { packing, nets, ms } = eval.packed(&self.arch, self.pack_options)?;
+            times.pack_ms = *ms;
             if let Some(w) = ckpt.as_deref_mut() {
-                w.write_pack(&packing)?;
+                w.write_pack(packing)?;
             }
             let place_start = Instant::now();
-            let placement = match resume.placement.take() {
+            let placement = match placement {
                 Some((grid, pos_of)) => Placement::reconstruct(
-                    &design,
-                    &packing,
-                    &nets,
+                    design,
+                    packing,
+                    nets,
                     &overrides.channels,
                     &self.timing,
                     overrides.place.weights,
@@ -1056,9 +813,9 @@ impl NanoMap {
                     let mut place_span = span!("place", smbs = packing.num_smbs);
                     place_span.attr("seed", overrides.place.seed);
                     let placed = place_with_defects_budgeted(
-                        &design,
-                        &packing,
-                        &nets,
+                        design,
+                        packing,
+                        nets,
                         &overrides.channels,
                         &self.timing,
                         overrides.place,
@@ -1082,9 +839,9 @@ impl NanoMap {
                 let mut route_span = span!("route", slices = design.num_slices());
                 route_span.attr("seed", overrides.route.seed);
                 let routed = route_design_budgeted(
-                    &design,
-                    &packing,
-                    &nets,
+                    design,
+                    packing,
+                    nets,
                     &placement,
                     &overrides.channels,
                     &self.timing,
@@ -1109,9 +866,9 @@ impl NanoMap {
                     let _span = span!("explain", top_k = self.explain_top_k as u64);
                     crate::explain::ExplainReport::build(
                         net.name(),
-                        &design,
-                        &packing,
-                        &nets,
+                        design,
+                        packing,
+                        nets,
                         &placement,
                         &routed,
                         &overrides.channels,
@@ -1197,44 +954,47 @@ impl NanoMap {
     }
 }
 
-/// Per-candidate logic-mapping result.
-pub(crate) struct CandidateEval {
-    pub(crate) les: u32,
-    pub(crate) delay_ns: f64,
-    pub(crate) graphs: Vec<ItemGraph>,
-    pub(crate) schedules: Vec<Schedule>,
+/// Runs one selection step inside a `folding-select` span and adds its
+/// wall time to `times.folding_select_ms`: the lazy selection, and the
+/// full ranking built when the ladder falls back.
+fn selecting<T>(
+    selection: &mut Selection<'_>,
+    times: &mut PhaseTimes,
+    step: impl FnOnce(&mut Selection<'_>) -> Result<T, FlowError>,
+) -> Result<T, FlowError> {
+    let start = Instant::now();
+    let mut span = span!("folding-select", candidates = selection.configs().len());
+    let out = step(selection);
+    span.attr("evaluated", selection.evaluated() as u64);
+    span.attr("pruned", selection.pruned() as u64);
+    drop(span);
+    times.folding_select_ms += start.elapsed().as_secs_f64() * 1e3;
+    out
 }
 
-/// Phase products restored from a checkpoint; a resumed attempt consumes
-/// them instead of re-running the corresponding phases.
-#[derive(Default)]
-pub(crate) struct ResumeProducts {
-    pub(crate) packing: Option<Packing>,
-    pub(crate) placement: Option<(Grid, Vec<SmbPos>)>,
-}
-
-/// Assigns every flip-flop to one plane (the plane it feeds, else the
-/// plane that writes it) for per-plane register accounting.
-fn ff_owners(planes: &PlaneSet, num_ffs: usize) -> Vec<usize> {
-    let mut owner = vec![0usize; num_ffs];
-    let mut assigned = vec![false; num_ffs];
-    for (idx, plane) in planes.planes().iter().enumerate() {
-        for &f in &plane.input_ffs {
-            if !assigned[f.index()] {
-                owner[f.index()] = idx;
-                assigned[f.index()] = true;
-            }
-        }
-    }
-    for (idx, plane) in planes.planes().iter().enumerate() {
-        for &f in &plane.output_ffs {
-            if !assigned[f.index()] {
-                owner[f.index()] = idx;
-                assigned[f.index()] = true;
-            }
-        }
-    }
-    owner
+/// Records a physical-design attempt that failed in placement or
+/// routing.
+fn record_failed(
+    recovery: &mut RecoveryLog,
+    e: &FlowError,
+    candidate: usize,
+    config: FoldingConfig,
+    remedy: Remedy,
+    start: Instant,
+) {
+    recovery.record(RecoveryAttempt {
+        attempt: recovery.total_attempts(),
+        candidate,
+        folding_level: config.level,
+        stages: config.stages,
+        remedy,
+        phase: match e {
+            FlowError::Place(_) => "place",
+            _ => "route",
+        },
+        error: e.to_string(),
+        wall_us: start.elapsed().as_micros() as u64,
+    });
 }
 
 #[cfg(test)]

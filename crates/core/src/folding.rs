@@ -1,6 +1,8 @@
 //! Folding-level selection (Section 4.1, Eqs. 1–4).
 
-use nanomap_netlist::PlaneSet;
+use nanomap_arch::TimingModel;
+use nanomap_netlist::{LutNetwork, PlaneSet};
+use nanomap_sched::LeShape;
 
 /// Whether planes time-share the same physical logic elements.
 ///
@@ -108,6 +110,96 @@ pub fn candidate_configs(planes: &PlaneSet, num_reconf: u32) -> Vec<FoldingConfi
         }
     }
     out
+}
+
+/// Analytic cost of a folding candidate, known before it is scheduled.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CandidateBound {
+    /// Lower bound on the LE count (exact without folding).
+    pub les: u32,
+    /// Circuit delay; exact, since it depends only on the configuration.
+    pub delay_ns: f64,
+}
+
+/// The [`CandidateBound`] of `config`. With folding, Eq. (1) read
+/// backwards bounds a plane's LEs: some cycle of the `stages` executes
+/// at least `ceil(L_plane / stages)` LUTs, and every register bit the
+/// plane keeps resident needs a flip-flop in every cycle, so a plane
+/// needs `max(ceil(ceil(L_plane / stages) / h), ceil(reg_bits / l))`
+/// LEs. Shared folding takes the maximum over planes with every circuit
+/// register resident; per-plane folding sums the planes, each with the
+/// registers [`ff_owners`] assigns it.
+pub fn candidate_bound(
+    net: &LutNetwork,
+    planes: &PlaneSet,
+    config: FoldingConfig,
+    shape: LeShape,
+    timing: &TimingModel,
+) -> CandidateBound {
+    let num_planes = planes.num_planes() as u32;
+    let total_ff_bits = net.num_ffs() as u32;
+    let Some(p) = config.level else {
+        // No folding: every LUT owns an LE; registers live in the LE
+        // flip-flops.
+        return CandidateBound {
+            les: (net.num_luts() as u32).max(total_ff_bits.div_ceil(shape.ffs)),
+            delay_ns: timing.circuit_delay_no_folding(num_planes, planes.depth_max()),
+        };
+    };
+    let plane_les = |luts: usize, reg_bits: u32| {
+        (luts as u32)
+            .div_ceil(config.stages)
+            .div_ceil(shape.luts)
+            .max(reg_bits.div_ceil(shape.ffs))
+    };
+    let les = match config.sharing {
+        PlaneSharing::Shared => planes
+            .planes()
+            .iter()
+            .map(|plane| plane_les(plane.num_luts(), total_ff_bits))
+            .max()
+            .unwrap_or(0),
+        PlaneSharing::PerPlane => {
+            let mut reg_bits = vec![0u32; planes.num_planes()];
+            for owner in ff_owners(planes, net.num_ffs()) {
+                reg_bits[owner] += 1;
+            }
+            planes
+                .planes()
+                .iter()
+                .zip(reg_bits)
+                .map(|(plane, bits)| plane_les(plane.num_luts(), bits))
+                .sum()
+        }
+    };
+    CandidateBound {
+        les,
+        delay_ns: timing.circuit_delay(num_planes, config.stages, p),
+    }
+}
+
+/// Assigns every flip-flop to one plane (the plane it feeds, else the
+/// plane that writes it) for per-plane register accounting.
+pub(crate) fn ff_owners(planes: &PlaneSet, num_ffs: usize) -> Vec<usize> {
+    let mut owner = vec![0usize; num_ffs];
+    let mut assigned = vec![false; num_ffs];
+    for (idx, plane) in planes.planes().iter().enumerate() {
+        for &f in &plane.input_ffs {
+            if !assigned[f.index()] {
+                owner[f.index()] = idx;
+                assigned[f.index()] = true;
+            }
+        }
+    }
+    for (idx, plane) in planes.planes().iter().enumerate() {
+        for &f in &plane.output_ffs {
+            if !assigned[f.index()] {
+                owner[f.index()] = idx;
+                assigned[f.index()] = true;
+            }
+        }
+    }
+    owner
 }
 
 #[cfg(test)]

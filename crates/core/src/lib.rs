@@ -66,6 +66,7 @@ pub mod qor;
 pub mod recovery;
 mod report;
 pub mod runs;
+mod select;
 pub mod service;
 mod verify;
 
@@ -81,8 +82,8 @@ pub use exact::ExactUnsatSummary;
 pub use explain::{check_artifact, ExplainReport, DEFAULT_TOP_K, EXPLAIN_SCHEMA};
 pub use flow::NanoMap;
 pub use folding::{
-    candidate_configs, folding_level_for_stages, folding_level_per_plane, min_folding_stages,
-    min_level_shared, FoldingConfig, PlaneSharing,
+    candidate_bound, candidate_configs, folding_level_for_stages, folding_level_per_plane,
+    min_folding_stages, min_level_shared, CandidateBound, FoldingConfig, PlaneSharing,
 };
 pub use objective::Objective;
 pub use perf::{diff_perf, PerfDocument, PerfReport, PERF_SCHEMA};
@@ -90,6 +91,7 @@ pub use qor::{QorDocument, QorReport};
 pub use recovery::{RecoveryAttempt, RecoveryLog, Remedy};
 pub use report::{MappingReport, PhaseTimes, PhysicalReport, SharingMode, UsageReport};
 pub use runs::{append_run, Ledger, RunRecord, DEFAULT_LEDGER_PATH};
+pub use select::Selection;
 pub use service::{
     query_stats, submit_with_retry, DesignSource, MapRequest, Request, Response, RetryPolicy,
     Submission, WireResult, SERVICE_SCHEMA,

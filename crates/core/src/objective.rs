@@ -6,6 +6,8 @@
 //! area-delay-product minimization of Table 1, and pure dual-constraint
 //! feasibility (the Paulin row of Table 2).
 
+use std::cmp::Ordering;
+
 /// What the flow optimizes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Objective {
@@ -77,14 +79,26 @@ impl Objective {
     /// Compares two feasible candidates; `true` if `(les_a, delay_a)` is
     /// preferred over `(les_b, delay_b)` under this objective.
     pub fn prefers(&self, les_a: u32, delay_a: f64, les_b: u32, delay_b: f64) -> bool {
+        self.rank(les_a, delay_a, les_b, delay_b) == Ordering::Less
+    }
+
+    /// The total preorder behind [`Self::prefers`]: `Less` when
+    /// `(les_a, delay_a)` is preferred. It never ranks a cost above one
+    /// with more LEs or more delay, so a lower bound on a candidate's
+    /// cost never ranks after the cost itself.
+    pub fn rank(&self, les_a: u32, delay_a: f64, les_b: u32, delay_b: f64) -> Ordering {
         match self {
-            Self::MinDelay { .. } => (delay_a, les_a) < (delay_b, les_b),
-            Self::MinArea { .. } => (les_a, ordered(delay_a)) < (les_b, ordered(delay_b)),
-            Self::MinAreaDelayProduct => f64::from(les_a) * delay_a < f64::from(les_b) * delay_b,
-            Self::Feasible { .. } => {
-                // Any feasible candidate is as good as another; keep the
-                // first found (stable) unless strictly dominating.
-                les_a <= les_b && delay_a <= delay_b && (les_a, delay_a) != (les_b, delay_b)
+            // Any feasible candidate is as good as another; the fastest
+            // comes first, which also puts every strictly dominating
+            // candidate ahead of the one it dominates.
+            Self::MinDelay { .. } | Self::Feasible { .. } => {
+                delay_a.total_cmp(&delay_b).then(les_a.cmp(&les_b))
+            }
+            Self::MinArea { .. } => les_a
+                .cmp(&les_b)
+                .then(ordered(delay_a).cmp(&ordered(delay_b))),
+            Self::MinAreaDelayProduct => {
+                (f64::from(les_a) * delay_a).total_cmp(&(f64::from(les_b) * delay_b))
             }
         }
     }
@@ -155,5 +169,29 @@ mod tests {
         assert!(Objective::MinArea { max_delay_ns: None }.prefers(10, 50.0, 11, 1.0));
         assert!(Objective::MinAreaDelayProduct.prefers(10, 10.0, 9, 12.0));
         assert!(!Objective::MinAreaDelayProduct.prefers(9, 12.0, 10, 10.0));
+        let feasible = Objective::Feasible {
+            max_les: 100,
+            max_delay_ns: 20.0,
+        };
+        assert!(feasible.prefers(9, 10.0, 10, 10.0), "dominance wins");
+        assert!(feasible.prefers(20, 9.0, 10, 10.0), "then the faster one");
+    }
+
+    #[test]
+    fn more_les_or_delay_never_ranks_earlier() {
+        let objectives = [
+            Objective::MinDelay { max_les: None },
+            Objective::MinArea { max_delay_ns: None },
+            Objective::MinAreaDelayProduct,
+            Objective::Feasible {
+                max_les: 100,
+                max_delay_ns: 20.0,
+            },
+        ];
+        for o in objectives {
+            for (les, delay) in [(10, 5.0), (10, 7.5), (14, 5.0), (14, 7.5)] {
+                assert_ne!(o.rank(10, 5.0, les, delay), Ordering::Greater, "{o:?}");
+            }
+        }
     }
 }

@@ -66,11 +66,15 @@ pub struct MappingReport {
 /// Wall-clock milliseconds per flow phase (zero when a phase did not run).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
-    /// Candidate enumeration + FDS evaluation of every folding config.
+    /// Candidate enumeration, bounding and FDS of the scheduled folding
+    /// configs — the winner's included — plus the full ranking when the
+    /// recovery ladder falls back.
     pub folding_select_ms: f64,
-    /// Re-scheduling (FDS) of the winning candidate.
+    /// Logic mapping outside selection: restoring checkpointed schedules
+    /// on resume (0 on fresh runs).
     pub fds_ms: f64,
-    /// Temporal clustering.
+    /// Temporal clustering of the mapped candidate, counted once however
+    /// many attempts reuse it.
     pub pack_ms: f64,
     /// Two-step simulated-annealing placement.
     pub place_ms: f64,

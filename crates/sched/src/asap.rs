@@ -29,13 +29,23 @@ impl TimeFrames {
         stages: u32,
         pinned: &[Option<u32>],
     ) -> Result<Self, SchedError> {
+        Self::compute_in_order(graph, stages, pinned, &topo_order(graph)?)
+    }
+
+    /// [`Self::compute`] over a topological `order` of `graph` the caller
+    /// computed once, so repeated recomputes skip the sort.
+    pub(crate) fn compute_in_order(
+        graph: &ItemGraph,
+        stages: u32,
+        pinned: &[Option<u32>],
+        order: &[usize],
+    ) -> Result<Self, SchedError> {
         let n = graph.len();
         assert_eq!(pinned.len(), n, "one pin slot per item");
-        let order = topo_order(graph)?;
 
         // ASAP: longest path from sources.
         let mut asap = vec![0u32; n];
-        for &i in &order {
+        for &i in order {
             let mut earliest = 0;
             for &(p, lat) in &graph.preds[i] {
                 earliest = earliest.max(asap[p] + lat);

@@ -114,8 +114,9 @@ impl DistributionGraphs {
     }
 }
 
-/// Implements Eqs. (6)–(10) for one storage operation.
-fn add_storage_distribution(
+/// Implements Eqs. (6)–(10) for one storage operation, adding its
+/// distribution into `acc`.
+pub(crate) fn add_storage_distribution(
     acc: &mut [f64],
     _graph: &ItemGraph,
     frames: &TimeFrames,

@@ -6,12 +6,14 @@
 //! lowest-force choice. The result balances LUT computation and register
 //! storage across the folding cycles, minimizing the peak LE usage.
 
+use std::borrow::Cow;
+
 use nanomap_observe::{Anytime, CancelToken, Degradation};
 
-use crate::asap::TimeFrames;
+use crate::asap::{topo_order, TimeFrames};
 use crate::dg::{storage_ops, DistributionGraphs, StorageOp, StorageWeightMode};
 use crate::error::SchedError;
-use crate::force::{ForceModel, LeShape};
+use crate::force::{ops_by_item, ForceModel, LeShape};
 use crate::item::ItemGraph;
 use crate::schedule::Schedule;
 
@@ -95,9 +97,12 @@ pub fn schedule_fds_budgeted(
     let n = graph.len();
     let ops: Vec<StorageOp> = storage_ops(net, graph, options.storage_mode);
     let mut pins: Vec<Option<u32>> = vec![None; n];
+    // Round invariants: the topological order and the op index.
+    let order = topo_order(graph)?;
+    let ops_of_item = ops_by_item(graph, &ops);
 
     // Feasibility check up front (also computes initial frames).
-    let mut frames = TimeFrames::compute(graph, stages, &pins)?;
+    let mut frames = TimeFrames::compute_in_order(graph, stages, &pins, &order)?;
 
     let mut force_evals = 0u64;
     let mut interrupted_at: Option<u64> = None;
@@ -111,7 +116,14 @@ pub fn schedule_fds_budgeted(
         rounds_ctr.incr();
         let dgs = DistributionGraphs::build(graph, &frames, &ops);
         dg_ctr.incr();
-        let model = ForceModel::new(graph, &frames, &dgs, &ops, options.shape);
+        let model = ForceModel::with_index(
+            graph,
+            &frames,
+            &dgs,
+            &ops,
+            Cow::Borrowed(&ops_of_item),
+            options.shape,
+        );
 
         // Lowest-force (item, cycle) over all unscheduled items.
         let mut best: Option<(f64, usize, u32)> = None;
@@ -149,7 +161,7 @@ pub fn schedule_fds_budgeted(
         pins[item] = Some(cycle);
         // Pinning inside a valid frame keeps the schedule feasible, so
         // this recompute cannot fail; propagate rather than panic anyway.
-        frames = TimeFrames::compute(graph, stages, &pins)?;
+        frames = TimeFrames::compute_in_order(graph, stages, &pins, &order)?;
     }
     force_ctr.add(force_evals);
     fds_span.attr("force_evals", force_evals);

@@ -8,8 +8,11 @@
 //! `i` also clips the time frames of its predecessors and successors;
 //! their induced forces are added to the total.
 
+use std::borrow::Cow;
+use std::cell::RefCell;
+
 use crate::asap::TimeFrames;
-use crate::dg::{DistributionGraphs, StorageOp};
+use crate::dg::{add_storage_distribution, DistributionGraphs, StorageOp};
 use crate::item::ItemGraph;
 
 /// Resource shape of an LE: `h` LUTs and `l` flip-flops (Eq. 14).
@@ -35,8 +38,11 @@ pub struct ForceModel<'a> {
     dgs: &'a DistributionGraphs,
     ops: &'a [StorageOp],
     /// Indices into `ops` touching each item (as src or dest).
-    ops_of_item: Vec<Vec<usize>>,
+    ops_of_item: Cow<'a, [Vec<usize>]>,
     shape: LeShape,
+    /// Reused before/after storage distributions of
+    /// [`Self::storage_self_force`].
+    scratch: RefCell<(Vec<f64>, Vec<f64>)>,
 }
 
 impl<'a> ForceModel<'a> {
@@ -48,13 +54,21 @@ impl<'a> ForceModel<'a> {
         ops: &'a [StorageOp],
         shape: LeShape,
     ) -> Self {
-        let mut ops_of_item = vec![Vec::new(); graph.len()];
-        for (k, op) in ops.iter().enumerate() {
-            ops_of_item[op.src].push(k);
-            for &d in &op.dests {
-                ops_of_item[d].push(k);
-            }
-        }
+        let ops_of_item = Cow::Owned(ops_by_item(graph, ops));
+        Self::with_index(graph, frames, dgs, ops, ops_of_item, shape)
+    }
+
+    /// [`Self::new`] over an [`ops_by_item`] index the caller built once
+    /// for the graph, so an FDS run does not rebuild it every round.
+    pub(crate) fn with_index(
+        graph: &'a ItemGraph,
+        frames: &'a TimeFrames,
+        dgs: &'a DistributionGraphs,
+        ops: &'a [StorageOp],
+        ops_of_item: Cow<'a, [Vec<usize>]>,
+        shape: LeShape,
+    ) -> Self {
+        let stages = frames.stages as usize;
         Self {
             graph,
             frames,
@@ -62,6 +76,7 @@ impl<'a> ForceModel<'a> {
             ops,
             ops_of_item,
             shape,
+            scratch: RefCell::new((vec![0.0; stages], vec![0.0; stages])),
         }
     }
 
@@ -91,18 +106,16 @@ impl<'a> ForceModel<'a> {
     /// the storage distributions of every op touching `item`, dotted with
     /// the storage DG.
     pub fn storage_self_force(&self, item: usize, j: u32) -> f64 {
+        let mut scratch = self.scratch.borrow_mut();
+        let (before, after) = &mut *scratch;
         let mut force = 0.0;
         for &k in &self.ops_of_item[item] {
             let op = &self.ops[k];
-            let before =
-                DistributionGraphs::storage_distribution_of(self.graph, self.frames, op, None);
-            let after = DistributionGraphs::storage_distribution_of(
-                self.graph,
-                self.frames,
-                op,
-                Some((item, j)),
-            );
-            for (cycle, (&a, &b)) in after.iter().zip(&before).enumerate() {
+            before.fill(0.0);
+            add_storage_distribution(before, self.graph, self.frames, op, None);
+            after.fill(0.0);
+            add_storage_distribution(after, self.graph, self.frames, op, Some((item, j)));
+            for (cycle, (&a, &b)) in after.iter().zip(before.iter()).enumerate() {
                 force += self.dgs.storage[cycle] * (a - b);
             }
         }
@@ -147,6 +160,19 @@ impl<'a> ForceModel<'a> {
     pub fn total_force(&self, item: usize, j: u32) -> f64 {
         self.self_force(item, j) + self.neighbor_forces(item, j)
     }
+}
+
+/// Indices into `ops` of the storage operations touching each item, as
+/// source or destination.
+pub(crate) fn ops_by_item(graph: &ItemGraph, ops: &[StorageOp]) -> Vec<Vec<usize>> {
+    let mut ops_of_item = vec![Vec::new(); graph.len()];
+    for (k, op) in ops.iter().enumerate() {
+        ops_of_item[op.src].push(k);
+        for &d in &op.dests {
+            ops_of_item[d].push(k);
+        }
+    }
+    ops_of_item
 }
 
 #[cfg(test)]

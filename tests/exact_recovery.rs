@@ -11,8 +11,9 @@ use std::panic::catch_unwind;
 
 use nanomap::{FlowError, MappingReport, NanoMap, Objective, Remedy};
 use nanomap_arch::{ArchParams, DefectMap};
-use nanomap_bench::circuits::paper_benchmarks;
+use nanomap_bench::circuits::{self, paper_benchmarks};
 use nanomap_netlist::LutNetwork;
+use nanomap_techmap::{expand, ExpandOptions};
 
 /// Maps `net` on a uniformly defective fabric, trapping panics.
 fn map_exact(net: &LutNetwork, rate: f64, seed: u64) -> Result<MappingReport, FlowError> {
@@ -104,6 +105,31 @@ fn exact_rung_honors_the_time_budget() {
             "unexpected error under a 1 ms budget: {e}"
         );
     }
+}
+
+/// Every millisecond of an exact rescue is counted once: the packing
+/// the rescue reuses from the heuristic attempts reports its time once,
+/// and the winner's scheduling is part of folding selection, so the
+/// per-phase sum never overshoots the total.
+#[test]
+fn exact_rescue_phase_times_reconcile() {
+    let arch = ArchParams::paper();
+    let options = ExpandOptions {
+        lut_inputs: arch.lut_inputs,
+        ..ExpandOptions::default()
+    };
+    let net = expand(&circuits::ex2(), options).expect("ex2 expands");
+    let report = NanoMap::new(arch)
+        .with_defects(DefectMap::uniform(0.20, 1))
+        .with_exact_recovery()
+        .with_sat_conflict_budget(200_000)
+        .map(&net, Objective::MinAreaDelayProduct)
+        .expect("ex2 at 20% defects is rescued");
+    assert_eq!(report.recovery.succeeded_with, Some(Remedy::ExactAssign));
+    let t = report.phase_times;
+    assert!(t.folding_select_ms > 0.0 && t.pack_ms > 0.0);
+    t.reconcile(0.10, 5.0)
+        .expect("phase times count each ms once");
 }
 
 /// Scans (circuit, rate, seed) triples for fabrics where the heuristic

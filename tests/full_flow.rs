@@ -1,9 +1,9 @@
 //! Cross-crate integration tests: the complete NanoMap flow from RTL to
 //! configuration bitmap, with folded-execution verification.
 
-use nanomap::{FlowError, NanoMap, Objective};
+use nanomap::{CancelToken, FlowError, NanoMap, Objective, Selection};
 use nanomap_arch::ArchParams;
-use nanomap_bench::circuits::{ex1, fir};
+use nanomap_bench::circuits::{ex1, fir, paper_benchmarks};
 use nanomap_netlist::PlaneSet;
 use nanomap_techmap::{expand, verify_equivalence, ExpandOptions};
 
@@ -257,6 +257,57 @@ fn flow_records_phase_spans_and_metrics_json() {
     ] {
         assert!(text.contains(&format!("\"{phase}\"")), "JSON names {phase}");
     }
+}
+
+/// Lazy folding selection accounts for every candidate it is offered:
+/// each is either scheduled or pruned by its bound, and under min-AT
+/// some paper circuit prunes. The `folding-select` spans carry the same
+/// split (spans of concurrent tests included, since every selection
+/// must satisfy it).
+#[test]
+fn folding_selection_accounts_for_every_candidate() {
+    nanomap_observe::set_enabled(true);
+    let flow = NanoMap::new(ArchParams::paper_unbounded()).without_physical();
+    let token = CancelToken::unlimited();
+    let mut pruned = 0;
+    for bench in paper_benchmarks() {
+        let planes = PlaneSet::extract(&bench.network).expect("planes");
+        let mut selection = Selection::new(
+            &flow,
+            &bench.network,
+            &planes,
+            Objective::MinAreaDelayProduct,
+        );
+        selection.select(&token).expect("selects");
+        assert_eq!(
+            selection.evaluated() + selection.pruned(),
+            selection.configs().len(),
+            "{}",
+            bench.name
+        );
+        pruned += selection.pruned();
+    }
+    assert!(
+        pruned > 0,
+        "no paper circuit pruned a candidate under min-AT"
+    );
+
+    flow.map_rtl(&ex1(8), Objective::MinAreaDelayProduct)
+        .expect("maps");
+    let snap = nanomap_observe::snapshot();
+    let spans = snap.spans_named("folding-select");
+    assert!(!spans.is_empty());
+    for span in spans {
+        let attr = |key: &str| {
+            span.attrs
+                .iter()
+                .find(|(k, _)| *k == key)
+                .and_then(|(_, v)| v.as_f64())
+                .unwrap_or_else(|| panic!("folding-select span lacks `{key}`"))
+        };
+        assert_eq!(attr("evaluated") + attr("pruned"), attr("candidates"));
+    }
+    assert!(snap.counter("flow.candidates_evaluated") > 0);
 }
 
 /// Under extreme congestion the router escalates to the global tier (the

@@ -22,8 +22,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use nanomap::perf::{PerfDocument, PerfReport};
-use nanomap::{NanoMap, Objective};
+use nanomap::{CircuitMetrics, MetricsDocument, NanoMap, Objective, Schema};
 use nanomap_arch::ArchParams;
 use nanomap_bench::circuits::paper_benchmarks;
 
@@ -138,16 +137,7 @@ fn main() {
             let t = report.phase_times;
             t.reconcile(RECONCILE_TOL_FRAC, RECONCILE_SLACK_MS)
                 .unwrap_or_else(|e| panic!("{} run {run}: {e}", bench.name));
-            for (name, value) in [
-                ("folding_select_ms", t.folding_select_ms),
-                ("fds_ms", t.fds_ms),
-                ("pack_ms", t.pack_ms),
-                ("place_ms", t.place_ms),
-                ("route_ms", t.route_ms),
-                ("bitmap_ms", t.bitmap_ms),
-                ("verify_ms", t.verify_ms),
-                ("total_ms", t.total_ms),
-            ] {
+            for (name, value) in t.phases().into_iter().chain([("total_ms", t.total_ms)]) {
                 samples.entry(name.to_string()).or_default().push(value);
             }
             if let Some(memory) = &report.memory {
@@ -158,7 +148,7 @@ fn main() {
                 }
             }
         }
-        let mut perf = PerfReport::from_samples(bench.name, runs, &samples);
+        let mut perf = CircuitMetrics::from_samples(bench.name, runs, &samples);
         perf.set("peak_live_bytes", peak_live_bytes as f64);
         perf.set("alloc_bytes", alloc_bytes as f64);
         if peak_rss_kb > 0 {
@@ -174,7 +164,9 @@ fn main() {
         reports.push(perf);
     }
     assert!(measured > 0, "no circuit matched the --circuit filter");
-    let text = PerfDocument::new(reports).to_json().to_pretty_string();
+    let text = MetricsDocument::new(Schema::Perf, reports)
+        .to_json()
+        .to_pretty_string();
     nanomap::atomic_write_text(Path::new(&out), &text).unwrap_or_else(|e| panic!("{e}"));
     eprintln!("perf document -> {out}");
 }

@@ -14,8 +14,7 @@
 //! Compare against the committed baseline with
 //! `nanomap qor-diff results/qor/bench.json <PATH>` (see `scripts/qor.sh`).
 
-use nanomap::qor::{QorDocument, QorReport};
-use nanomap::{NanoMap, Objective};
+use nanomap::{CircuitMetrics, MetricsDocument, NanoMap, Objective, Schema};
 use nanomap_arch::ArchParams;
 use nanomap_bench::circuits::paper_benchmarks;
 
@@ -66,7 +65,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("{e}"));
         }
         let snapshot = nanomap_observe::snapshot();
-        let mut qor = QorReport::from_mapping(&report, &flow.channels, &snapshot);
+        let mut qor = CircuitMetrics::from_mapping(&report, &flow.channels, &snapshot);
         // Key by the paper's circuit name, not the generator's netlist name.
         qor.circuit = bench.name.to_string();
         if let Some(path) = &ledger {
@@ -91,7 +90,9 @@ fn main() {
         );
         reports.push(qor);
     }
-    let text = QorDocument::new(reports).to_json().to_pretty_string();
+    let text = MetricsDocument::new(Schema::Qor, reports)
+        .to_json()
+        .to_pretty_string();
     match out {
         Some(path) => {
             nanomap::atomic_write_text(std::path::Path::new(&path), &text)

@@ -66,7 +66,8 @@
 //!   Compares two QoR documents metric-by-metric with per-metric
 //!   tolerances; exits non-zero when any gated metric regresses.
 //!   With --exact every gated metric must match bit for bit (the
-//!   determinism gate for defect-free reruns).
+//!   determinism gate for defect-free reruns). Exits 1 on a document
+//!   that is not nanomap-qor-v1.
 //!
 //! nanomap profile <design.vhd | design.blif> [flow options]
 //!                 [--sample-hz N] [--top-k N] [--out DIR]
@@ -80,6 +81,7 @@
 //!   relative tolerance (--rel, default 1.0 = 100%) and the absolute
 //!   guard band (--abs-ms, default 25 ms) to fail. p95, memory metrics
 //!   and circuits missing from the new document are informational.
+//!   Exits 1 on a document that is not nanomap-perf-v1.
 //!
 //! nanomap runs <list | show ID | trend | regress | check-stream FILE>
 //!              [--ledger PATH]
@@ -130,13 +132,12 @@ use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
-use nanomap::perf::{DEFAULT_ABS_GUARD_MS, DEFAULT_REL_TOLERANCE};
-use nanomap::qor::{diff_documents, diff_documents_exact, QorDocument, QorReport};
+use nanomap::gate::diff;
 use nanomap::runs::{self, Ledger, RunRecord, DEFAULT_LEDGER_PATH};
 use nanomap::{
-    atomic_write, atomic_write_text, check_artifact, diff_perf, has_regression, render_diff_table,
-    Checkpoint, DiffEntry, DiffStatus, ExplainReport, FlowError, MappingReport, NanoMap, Objective,
-    PerfDocument, DEFAULT_TOP_K,
+    atomic_write, atomic_write_text, check_artifact, has_regression, render_diff_table, Checkpoint,
+    CircuitMetrics, DiffEntry, DiffStatus, ExplainReport, FlowError, Gate, MappingReport,
+    MetricsDocument, NanoMap, Objective, Schema, DEFAULT_TOP_K,
 };
 use nanomap_arch::{ArchParams, DefectMap};
 use nanomap_netlist::{blif, vhdl, LutNetwork};
@@ -570,18 +571,46 @@ fn explain_main(cli: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `nanomap qor-diff [--exact] <baseline.json> <new.json>`: the
-/// regression gate (with `--exact`, the determinism gate).
-fn qor_diff_main(args: &[String]) -> ExitCode {
-    let exact = args.iter().any(|a| a == "--exact");
-    let paths: Vec<&String> = args.iter().filter(|a| *a != "--exact").collect();
-    let [baseline_path, new_path] = paths[..] else {
-        eprintln!("usage: nanomap qor-diff [--exact] <baseline.json> <new.json>");
-        return ExitCode::FAILURE;
+/// `nanomap qor-diff [--exact] <baseline.json> <new.json>` (the QoR
+/// regression gate; with `--exact`, the determinism gate) and
+/// `nanomap perf-diff [--rel F] [--abs-ms F] <baseline.json> <new.json>`
+/// (the performance gate): one metrics gate, two schemas.
+fn gate_diff_main(schema: Schema, cli: Vec<String>) -> ExitCode {
+    let (mut gate, flags) = match schema {
+        Schema::Qor => (Gate::Qor { exact: false }, "qor-diff [--exact]"),
+        Schema::Perf => (Gate::PERF_DEFAULT, "perf-diff [--rel F] [--abs-ms F]"),
     };
-    let read_doc = |path: &String| -> Result<QorDocument, String> {
+    let usage = || {
+        eprintln!("usage: nanomap {flags} <baseline.json> <new.json>");
+        ExitCode::FAILURE
+    };
+    let mut paths: Vec<String> = Vec::new();
+    let mut iter = cli.into_iter();
+    while let Some(arg) = iter.next() {
+        let band = match (&mut gate, arg.as_str()) {
+            (Gate::Qor { exact }, "--exact") => {
+                *exact = true;
+                continue;
+            }
+            (Gate::Perf { rel, .. }, "--rel") => rel,
+            (Gate::Perf { abs_ms, .. }, "--abs-ms") => abs_ms,
+            (Gate::Perf { .. }, other) if other.starts_with('-') => return usage(),
+            _ => {
+                paths.push(arg);
+                continue;
+            }
+        };
+        match value(&mut iter, &arg).map(|v| v.parse::<f64>()) {
+            Ok(Ok(v)) if v >= 0.0 => *band = v,
+            _ => return usage(),
+        }
+    }
+    let [baseline_path, new_path] = &paths[..] else {
+        return usage();
+    };
+    let read_doc = |path: &String| -> Result<MetricsDocument, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        QorDocument::parse(&text).map_err(|e| format!("{path}: {e}"))
+        MetricsDocument::parse(&text, schema).map_err(|e| format!("{path}: {e}"))
     };
     let (baseline, new) = match (read_doc(baseline_path), read_doc(new_path)) {
         (Ok(b), Ok(n)) => (b, n),
@@ -590,12 +619,9 @@ fn qor_diff_main(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let entries = if exact {
-        diff_documents_exact(&baseline, &new)
-    } else {
-        diff_documents(&baseline, &new)
-    };
-    // Keep the table focused: silent on in-tolerance info metrics.
+    let entries = diff(&baseline, &new, gate);
+    // Keep the table focused: gated metrics, failures and new metrics;
+    // silent on in-band info metrics (phase times, p95s, memory).
     let show = |e: &DiffEntry| {
         e.status.fails()
             || matches!(e.status, DiffStatus::MissingInBaseline)
@@ -605,75 +631,16 @@ fn qor_diff_main(args: &[String]) -> ExitCode {
     for line in lines {
         outln!("{line}");
     }
-    let mode = if exact { " (exact)" } else { "" };
+    let (name, params) = match gate {
+        Gate::Qor { exact: true } => ("QoR gate (exact)", String::new()),
+        Gate::Qor { .. } => ("QoR gate", String::new()),
+        Gate::Perf { rel, abs_ms } => ("perf gate", format!(", rel {rel}, abs {abs_ms} ms")),
+    };
     if has_regression(&entries) {
-        outln!("QoR gate{mode}: FAIL ({failures} regressed metrics)");
+        outln!("{name}: FAIL ({failures} regressed metrics{params})");
         ExitCode::FAILURE
     } else {
-        outln!("QoR gate{mode}: PASS ({} metrics compared)", entries.len());
-        ExitCode::SUCCESS
-    }
-}
-
-/// `nanomap perf-diff [--rel F] [--abs-ms F] <baseline.json> <new.json>`:
-/// the performance regression gate over `nanomap-perf-v1` documents.
-fn perf_diff_main(cli: Vec<String>) -> ExitCode {
-    let mut rel = DEFAULT_REL_TOLERANCE;
-    let mut abs_ms = DEFAULT_ABS_GUARD_MS;
-    let mut paths: Vec<String> = Vec::new();
-    let mut iter = cli.into_iter();
-    let usage = || {
-        eprintln!("usage: nanomap perf-diff [--rel F] [--abs-ms F] <baseline.json> <new.json>");
-        ExitCode::FAILURE
-    };
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--rel" => match value(&mut iter, "--rel")
-                .and_then(|v| v.parse::<f64>().map_err(|e| format!("--rel: {e}")))
-            {
-                Ok(v) if v >= 0.0 => rel = v,
-                _ => return usage(),
-            },
-            "--abs-ms" => match value(&mut iter, "--abs-ms")
-                .and_then(|v| v.parse::<f64>().map_err(|e| format!("--abs-ms: {e}")))
-            {
-                Ok(v) if v >= 0.0 => abs_ms = v,
-                _ => return usage(),
-            },
-            other if other.starts_with('-') => return usage(),
-            other => paths.push(other.to_string()),
-        }
-    }
-    let [baseline_path, new_path] = &paths[..] else {
-        return usage();
-    };
-    let read_doc = |path: &String| -> Result<PerfDocument, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        PerfDocument::parse(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let (baseline, new) = match (read_doc(baseline_path), read_doc(new_path)) {
-        (Ok(b), Ok(n)) => (b, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let entries = diff_perf(&baseline, &new, rel, abs_ms);
-    // Show gated medians plus anything that failed; skip the
-    // info-only p95/memory rows unless they are new metrics.
-    let show = |e: &DiffEntry| e.status.fails() || e.tolerance.is_some();
-    let (lines, failures) = render_diff_table(&entries, show);
-    for line in lines {
-        outln!("{line}");
-    }
-    if has_regression(&entries) {
-        outln!("perf gate: FAIL ({failures} regressed metrics, rel {rel}, abs {abs_ms} ms)");
-        ExitCode::FAILURE
-    } else {
-        outln!(
-            "perf gate: PASS ({} metrics compared, rel {rel}, abs {abs_ms} ms)",
-            entries.len()
-        );
+        outln!("{name}: PASS ({} metrics compared{params})", entries.len());
         ExitCode::SUCCESS
     }
 }
@@ -1449,10 +1416,10 @@ fn top_main(args: Vec<String>) -> ExitCode {
 fn main() -> ExitCode {
     let mut cli: Vec<String> = std::env::args().skip(1).collect();
     if cli.first().map(String::as_str) == Some("qor-diff") {
-        return qor_diff_main(&cli.split_off(1));
+        return gate_diff_main(Schema::Qor, cli.split_off(1));
     }
     if cli.first().map(String::as_str) == Some("perf-diff") {
-        return perf_diff_main(cli.split_off(1));
+        return gate_diff_main(Schema::Perf, cli.split_off(1));
     }
     if cli.first().map(String::as_str) == Some("explain") {
         return explain_main(cli.split_off(1));
@@ -1691,19 +1658,13 @@ fn main() -> ExitCode {
             if args.verify {
                 report!("  folded-execution verification: PASSED");
             }
-            let t = &report.phase_times;
-            report!(
-                "  time: total {:.1} ms (select {:.1}, fds {:.1}, pack {:.1}, place {:.1}, route {:.1}, bitmap {:.1}, verify {:.1}, explain {:.1})",
-                t.total_ms,
-                t.folding_select_ms,
-                t.fds_ms,
-                t.pack_ms,
-                t.place_ms,
-                t.route_ms,
-                t.bitmap_ms,
-                t.verify_ms,
-                t.explain_ms
-            );
+            let t = report.phase_times;
+            let phases: Vec<String> = t
+                .phases()
+                .iter()
+                .map(|(name, ms)| format!("{} {ms:.1}", name.trim_end_matches("_ms")))
+                .collect();
+            report!("  time: total {:.1} ms ({})", t.total_ms, phases.join(", "));
             if let Some(memory) = &report.memory {
                 report!(
                     "  memory: {} allocs, {:.1} MiB allocated, peak live {:.1} MiB{}",
@@ -1771,8 +1732,8 @@ fn main() -> ExitCode {
                 report!("  chrome trace: -> {path} (load at ui.perfetto.dev)");
             }
             if let Some(path) = &args.qor_path {
-                let qor = QorReport::from_mapping(&report, &channels, &snap);
-                let doc = QorDocument::new(vec![qor]).to_json();
+                let qor = CircuitMetrics::from_mapping(&report, &channels, &snap);
+                let doc = MetricsDocument::new(Schema::Qor, vec![qor]).to_json();
                 if let Err(e) = write_sink(path, &doc.to_pretty_string()) {
                     eprintln!("error: {e}");
                     return ExitCode::FAILURE;

@@ -1,10 +1,9 @@
-//! Shared machinery for JSON numeric-diff gates.
+//! Verdict types, the numeric-map JSON reader and the diff table.
 //!
-//! The QoR gate ([`crate::qor`]) and the perf gate ([`crate::perf`])
-//! both compare per-circuit maps of numbers against a committed
-//! baseline and render the same fixed-width table. The comparison
-//! verdict types, the numeric-map JSON reader and the table renderer
-//! live here so the two gates (and the runs ledger) cannot drift apart.
+//! The metrics gate ([`crate::gate`]) judges each metric into a
+//! [`DiffEntry`]; `nanomap qor-diff` and `perf-diff` render the entries
+//! through [`render_diff_table`], and the runs ledger reads its number
+//! maps with the same reader as the gate's documents.
 
 use std::collections::BTreeMap;
 
@@ -114,6 +113,16 @@ pub(crate) fn number_map(
         map.entry(key.clone()).or_insert(number);
     }
     Ok(map)
+}
+
+/// Writes a sorted number map as a JSON object — the inverse of
+/// [`number_map`].
+pub(crate) fn number_object(map: &BTreeMap<String, f64>) -> JsonValue {
+    let mut object = JsonValue::object();
+    for (name, &value) in map {
+        object.set(name, value);
+    }
+    object
 }
 
 /// Renders the diff table shared by `nanomap qor-diff` and

@@ -48,8 +48,8 @@ use nanomap_sat::{
 
 use crate::budget::{CancelToken, Degradation};
 use crate::error::FlowError;
-use crate::flow::NanoMap;
-use crate::recovery::{RecoveryAttempt, RecoveryLog, Remedy};
+use crate::flow::{failed_phase, record_failed, NanoMap};
+use crate::recovery::{RecoveryLog, Remedy};
 use crate::report::{MappingReport, PhaseTimes};
 use crate::select::{CandidateEval, Packed};
 
@@ -210,6 +210,17 @@ impl NanoMap {
                 return ExactRungResult::Exhausted;
             }
             let attempt_start = Instant::now();
+            let fail = |recovery: &mut RecoveryLog, phase, error| {
+                record_failed(
+                    recovery,
+                    cand_rank,
+                    config,
+                    Remedy::ExactAssign,
+                    phase,
+                    error,
+                    attempt_start,
+                );
+            };
             let slack = base_slack * GRID_GROWTH.powi(sizing as i32);
             let grid = Grid::with_capacity(((f64::from(n) * slack).ceil() as u32).max(n));
 
@@ -321,38 +332,16 @@ impl NanoMap {
                         Err(e @ (FlowError::Place(_) | FlowError::Route(_))) => {
                             // A legal assignment that will not route;
                             // try again with more room.
-                            recovery.record(RecoveryAttempt {
-                                attempt: recovery.total_attempts(),
-                                candidate: cand_rank,
-                                folding_level: config.level,
-                                stages: config.stages,
-                                remedy: Remedy::ExactAssign,
-                                phase: match &e {
-                                    FlowError::Place(_) => "place",
-                                    _ => "route",
-                                },
-                                error: e.to_string(),
-                                wall_us: attempt_start.elapsed().as_micros() as u64,
-                            });
+                            fail(recovery, failed_phase(&e), e.to_string());
                             sizing += 1;
                         }
                         Err(e) => return ExactRungResult::Fatal(e),
                     }
                 }
                 AssignOutcome::Infeasible(cause) => {
-                    recovery.record(RecoveryAttempt {
-                        attempt: recovery.total_attempts(),
-                        candidate: cand_rank,
-                        folding_level: config.level,
-                        stages: config.stages,
-                        remedy: Remedy::ExactAssign,
-                        phase: "exact-assign",
-                        error: format!(
-                            "infeasible on {}x{} grid: {cause}",
-                            grid.width, grid.height
-                        ),
-                        wall_us: attempt_start.elapsed().as_micros() as u64,
-                    });
+                    let error =
+                        format!("infeasible on {}x{} grid: {cause}", grid.width, grid.height);
+                    fail(recovery, "exact-assign", error);
                     if sizing < last {
                         // Feasibility is monotone in grid size: skip
                         // the intermediate size, go straight to the
@@ -395,16 +384,11 @@ impl NanoMap {
                     });
                 }
                 AssignOutcome::Interrupted(reason) => {
-                    recovery.record(RecoveryAttempt {
-                        attempt: recovery.total_attempts(),
-                        candidate: cand_rank,
-                        folding_level: config.level,
-                        stages: config.stages,
-                        remedy: Remedy::ExactAssign,
-                        phase: "exact-assign",
-                        error: format!("solver interrupted: {reason}"),
-                        wall_us: attempt_start.elapsed().as_micros() as u64,
-                    });
+                    fail(
+                        recovery,
+                        "exact-assign",
+                        format!("solver interrupted: {reason}"),
+                    );
                     return ExactRungResult::Exhausted;
                 }
             }

@@ -366,7 +366,15 @@ impl NanoMap {
                         );
                     }
                     Err(e @ (FlowError::Place(_) | FlowError::Route(_))) => {
-                        record_failed(&mut recovery, &e, cand_rank, config, remedy, attempt_start);
+                        record_failed(
+                            &mut recovery,
+                            cand_rank,
+                            config,
+                            remedy,
+                            failed_phase(&e),
+                            e.to_string(),
+                            attempt_start,
+                        );
                         continue;
                     }
                     Err(e) => return Err(e),
@@ -585,10 +593,11 @@ impl NanoMap {
                 Err(e @ (FlowError::Place(_) | FlowError::Route(_))) => {
                     record_failed(
                         &mut recovery,
-                        &e,
                         checkpoint.candidate_rank,
                         config,
                         remedy,
+                        failed_phase(&e),
+                        e.to_string(),
                         attempt_start,
                     );
                     continue;
@@ -972,14 +981,15 @@ fn selecting<T>(
     out
 }
 
-/// Records a physical-design attempt that failed in placement or
-/// routing.
-fn record_failed(
+/// Records a failed physical-design attempt: the phase it failed in and
+/// the error text.
+pub(crate) fn record_failed(
     recovery: &mut RecoveryLog,
-    e: &FlowError,
     candidate: usize,
     config: FoldingConfig,
     remedy: Remedy,
+    phase: &'static str,
+    error: String,
     start: Instant,
 ) {
     recovery.record(RecoveryAttempt {
@@ -988,13 +998,18 @@ fn record_failed(
         folding_level: config.level,
         stages: config.stages,
         remedy,
-        phase: match e {
-            FlowError::Place(_) => "place",
-            _ => "route",
-        },
-        error: e.to_string(),
+        phase,
+        error,
         wall_us: start.elapsed().as_micros() as u64,
     });
+}
+
+/// The phase a place-or-route failure belongs to.
+pub(crate) fn failed_phase(e: &FlowError) -> &'static str {
+    match e {
+        FlowError::Place(_) => "place",
+        _ => "route",
+    }
 }
 
 #[cfg(test)]

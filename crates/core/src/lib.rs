@@ -60,9 +60,8 @@ pub mod exact;
 pub mod explain;
 mod flow;
 mod folding;
+pub mod gate;
 mod objective;
-pub mod perf;
-pub mod qor;
 pub mod recovery;
 mod report;
 pub mod runs;
@@ -85,9 +84,8 @@ pub use folding::{
     candidate_bound, candidate_configs, folding_level_for_stages, folding_level_per_plane,
     min_folding_stages, min_level_shared, CandidateBound, FoldingConfig, PlaneSharing,
 };
+pub use gate::{CircuitMetrics, Gate, MetricsDocument, Schema};
 pub use objective::Objective;
-pub use perf::{diff_perf, PerfDocument, PerfReport, PERF_SCHEMA};
-pub use qor::{QorDocument, QorReport};
 pub use recovery::{RecoveryAttempt, RecoveryLog, Remedy};
 pub use report::{MappingReport, PhaseTimes, PhysicalReport, SharingMode, UsageReport};
 pub use runs::{append_run, Ledger, RunRecord, DEFAULT_LEDGER_PATH};
@@ -97,6 +95,14 @@ pub use service::{
     Submission, WireResult, SERVICE_SCHEMA,
 };
 pub use verify::{check_folded_execution, FoldedCheck};
+
+// The gate's unit tests, one module per schema.
+#[cfg(test)]
+#[path = "gate/perf_tests.rs"]
+mod perf;
+#[cfg(test)]
+#[path = "gate/qor_tests.rs"]
+mod qor;
 
 pub use nanomap_arch as arch;
 pub use nanomap_netlist as netlist;

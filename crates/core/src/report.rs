@@ -95,17 +95,35 @@ pub struct PhaseTimes {
 }
 
 impl PhaseTimes {
-    /// Sum of the per-phase wall-clock entries (everything except
-    /// `total_ms` and the budget remainder).
+    /// The per-phase wall-clock entries, `(name, ms)` in report order —
+    /// everything except `total_ms` and the budget remainder. The one
+    /// list every phase table, map and summary line is built from.
+    pub fn phases(self) -> [(&'static str, f64); 8] {
+        [
+            ("folding_select_ms", self.folding_select_ms),
+            ("fds_ms", self.fds_ms),
+            ("pack_ms", self.pack_ms),
+            ("place_ms", self.place_ms),
+            ("route_ms", self.route_ms),
+            ("bitmap_ms", self.bitmap_ms),
+            ("verify_ms", self.verify_ms),
+            ("explain_ms", self.explain_ms),
+        ]
+    }
+
+    /// Every reported entry: the [`Self::phases`], then `total_ms`, then
+    /// `budget_ms_remaining` on budgeted runs only.
+    pub fn entries(self) -> impl Iterator<Item = (&'static str, f64)> {
+        let budget = self
+            .budget_ms_remaining
+            .map(|ms| ("budget_ms_remaining", ms));
+        let total = ("total_ms", self.total_ms);
+        self.phases().into_iter().chain([total]).chain(budget)
+    }
+
+    /// Sum of the [`Self::phases`] entries.
     pub fn phase_sum_ms(self) -> f64 {
-        self.folding_select_ms
-            + self.fds_ms
-            + self.pack_ms
-            + self.place_ms
-            + self.route_ms
-            + self.bitmap_ms
-            + self.verify_ms
-            + self.explain_ms
+        self.phases().iter().map(|&(_, ms)| ms).sum()
     }
 
     /// Self-consistency check: the per-phase sum must not exceed the
@@ -128,24 +146,15 @@ impl PhaseTimes {
         Ok(())
     }
 
-    /// JSON object with one entry per phase. `budget_ms_remaining` is
+    /// JSON object of the [`Self::entries`]. `budget_ms_remaining` is
     /// emitted only for budgeted runs, so unbudgeted artifacts stay
     /// byte-identical to pre-budget baselines.
     pub fn to_json(self) -> JsonValue {
-        let times = JsonValue::object()
-            .with("folding_select_ms", self.folding_select_ms)
-            .with("fds_ms", self.fds_ms)
-            .with("pack_ms", self.pack_ms)
-            .with("place_ms", self.place_ms)
-            .with("route_ms", self.route_ms)
-            .with("bitmap_ms", self.bitmap_ms)
-            .with("verify_ms", self.verify_ms)
-            .with("explain_ms", self.explain_ms)
-            .with("total_ms", self.total_ms);
-        match self.budget_ms_remaining {
-            Some(remaining) => times.with("budget_ms_remaining", remaining),
-            None => times,
+        let mut times = JsonValue::object();
+        for (name, ms) in self.entries() {
+            times.set(name, ms);
         }
+        times
     }
 }
 

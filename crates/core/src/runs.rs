@@ -22,6 +22,7 @@ use std::path::Path;
 use nanomap_observe::{json, JsonValue};
 
 use crate::artifact::{atomic_write_text, versions};
+use crate::diff::{number_map, number_object};
 use crate::report::MappingReport;
 
 /// Default ledger location, relative to the working directory.
@@ -113,21 +114,8 @@ pub fn publish_run_end(run_id: &str, exit_code: i32, report: Option<&MappingRepo
     let (phase_ms, total_ms) = report.map_or_else(
         || (Vec::new(), 0.0),
         |r| {
-            let t = r.phase_times;
-            let phases = [
-                ("folding_select_ms", t.folding_select_ms),
-                ("fds_ms", t.fds_ms),
-                ("pack_ms", t.pack_ms),
-                ("place_ms", t.place_ms),
-                ("route_ms", t.route_ms),
-                ("bitmap_ms", t.bitmap_ms),
-                ("verify_ms", t.verify_ms),
-                ("explain_ms", t.explain_ms),
-            ]
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-            (phases, t.total_ms)
+            let phases = r.phase_times.phases().map(|(k, v)| (k.to_string(), v));
+            (Vec::from(phases), r.phase_times.total_ms)
         },
     );
     nanomap_observe::publish(nanomap_observe::EventKind::RunEnd {
@@ -156,20 +144,12 @@ impl RunRecord {
             m("routed_wirelength", p.usage.total() as f64);
         }
         let t = report.phase_times;
-        let phase_ms: BTreeMap<String, f64> = [
-            ("folding_select_ms", t.folding_select_ms),
-            ("fds_ms", t.fds_ms),
-            ("pack_ms", t.pack_ms),
-            ("place_ms", t.place_ms),
-            ("route_ms", t.route_ms),
-            ("bitmap_ms", t.bitmap_ms),
-            ("verify_ms", t.verify_ms),
-            ("explain_ms", t.explain_ms),
-            ("total_ms", t.total_ms),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
+        let phase_ms: BTreeMap<String, f64> = t
+            .phases()
+            .into_iter()
+            .chain([("total_ms", t.total_ms)])
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
         let timestamp = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_secs());
@@ -203,14 +183,6 @@ impl RunRecord {
     /// One compact JSON object — the ledger line format. Tagged with the
     /// events-subsystem schema so the line is self-describing.
     pub fn to_json(&self) -> JsonValue {
-        let mut metrics = JsonValue::object();
-        for (name, &value) in &self.metrics {
-            metrics.set(name, value);
-        }
-        let mut phases = JsonValue::object();
-        for (name, &value) in &self.phase_ms {
-            phases.set(name, value);
-        }
         let mut obj = JsonValue::object()
             .with("schema", versions::EVENTS)
             .with("run_id", self.run_id.as_str())
@@ -229,8 +201,8 @@ impl RunRecord {
         if let Some(trace) = &self.trace_id {
             obj.set("trace_id", trace.as_str());
         }
-        obj.set("metrics", metrics);
-        obj.set("phase_ms", phases);
+        obj.set("metrics", number_object(&self.metrics));
+        obj.set("phase_ms", number_object(&self.phase_ms));
         obj
     }
 
@@ -282,8 +254,8 @@ impl RunRecord {
                 .get("trace_id")
                 .and_then(JsonValue::as_str)
                 .map(str::to_string),
-            metrics: crate::diff::number_map(value.get("metrics"), "metrics")?,
-            phase_ms: crate::diff::number_map(value.get("phase_ms"), "phase_ms")?,
+            metrics: number_map(value.get("metrics"), "metrics")?,
+            phase_ms: number_map(value.get("phase_ms"), "phase_ms")?,
         })
     }
 
@@ -858,7 +830,7 @@ pub fn check_stream(text: &str) -> Result<StreamCheck, String> {
                     .and_then(JsonValue::as_int)
                     .ok_or_else(|| format!("line {lineno}: run-end missing `exit_code`"))?
                     as i32;
-                check.phase_ms = crate::diff::number_map(event.get("phase_ms"), "phase_ms")
+                check.phase_ms = number_map(event.get("phase_ms"), "phase_ms")
                     .map_err(|e| format!("line {lineno}: {e}"))?;
                 check.total_ms = event
                     .get("total_ms")

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use nanomap::artifact::versions;
 use nanomap::runs;
-use nanomap::{NanoMap, Objective, PerfDocument, PerfReport, QorDocument, QorReport, RunRecord};
+use nanomap::{CircuitMetrics, MetricsDocument, NanoMap, Objective, RunRecord, Schema};
 use nanomap_arch::ArchParams;
 use nanomap_netlist::rtl::{CombOp, RtlBuilder, RtlCircuit};
 use nanomap_netlist::LutNetwork;
@@ -137,11 +137,14 @@ fn every_artifact_embeds_its_registered_version() {
     nanomap_observe::set_enabled(false);
 
     // QoR document.
-    let qor = QorDocument::new(vec![QorReport::from_mapping(
-        &report,
-        &flow.channels,
-        &snapshot,
-    )])
+    let qor = MetricsDocument::new(
+        Schema::Qor,
+        vec![CircuitMetrics::from_mapping(
+            &report,
+            &flow.channels,
+            &snapshot,
+        )],
+    )
     .to_json()
     .to_compact_string();
     assert!(qor.contains(versions::QOR), "qor document lost its schema");
@@ -150,9 +153,12 @@ fn every_artifact_embeds_its_registered_version() {
     let samples = [("total_ms".to_string(), vec![1.0, 2.0, 3.0])]
         .into_iter()
         .collect();
-    let perf = PerfDocument::new(vec![PerfReport::from_samples("mac", 3, &samples)])
-        .to_json()
-        .to_compact_string();
+    let perf = MetricsDocument::new(
+        Schema::Perf,
+        vec![CircuitMetrics::from_samples("mac", 3, &samples)],
+    )
+    .to_json()
+    .to_compact_string();
     assert!(
         perf.contains(versions::PERF),
         "perf document lost its schema"

@@ -175,7 +175,11 @@ fn write_seq(
 
 /// Writes a float as a valid JSON number (`null` for NaN/∞).
 fn write_f64(out: &mut String, f: f64) {
-    if f.is_finite() {
+    if f == 0.0 && f.is_sign_negative() {
+        // `{}` prints "-0", which parses back as the integer 0; the
+        // fraction keeps the sign through a round trip.
+        out.push_str("-0.0");
+    } else if f.is_finite() {
         // `{}` on f64 never produces exponents for ordinary magnitudes and
         // round-trips the value; "1" is a valid JSON number.
         let _ = write!(out, "{f}");
@@ -491,6 +495,18 @@ mod tests {
             let parsed = parse(&emitted).expect("valid JSON");
             assert_eq!(parsed.as_str(), Some(s), "round-trip of {s:?}");
         }
+    }
+
+    #[test]
+    fn negative_zero_survives_emit_parse_emit() {
+        let emitted = JsonValue::Float(-0.0).to_compact_string();
+        assert_eq!(emitted, "-0.0");
+        let parsed = parse(&emitted).expect("valid JSON");
+        assert!(matches!(parsed, JsonValue::Float(f) if f == 0.0 && f.is_sign_negative()));
+        assert_eq!(parsed.to_compact_string(), emitted);
+        // Positive zero and an integer "-0" keep their forms.
+        assert_eq!(JsonValue::Float(0.0).to_compact_string(), "0");
+        assert_eq!(parse("-0").unwrap(), JsonValue::Int(0));
     }
 
     #[test]

@@ -14,6 +14,9 @@ echo "==> tier-1: release build + tests (offline)"
 cargo build --release --workspace --offline
 cargo test --workspace --offline -q
 
+echo "==> benchmark package: build + tests (offline)"
+cargo test --offline --release --manifest-path nanobench/Cargo.toml
+
 echo "All checks passed."
 echo "(CI parity: .github/workflows/ci.yml additionally runs the QoR gate"
 echo " via scripts/qor.sh — which includes the perf-diff leg against"

@@ -219,7 +219,7 @@ fn memory_telemetry_rides_the_report_only_when_tracked() {
     // QoR artifacts remain identical either way: the tracked run's QoR
     // metrics contain no memory entries (info lives in the report only).
     let snap = observe::snapshot();
-    let qor = nanomap::QorReport::from_mapping(&tracked, &flow.channels, &snap);
+    let qor = nanomap::CircuitMetrics::from_mapping(&tracked, &flow.channels, &snap);
     assert!(
         qor.metrics.keys().all(|k| !k.contains("mem")),
         "memory must not leak into gated QoR metrics"

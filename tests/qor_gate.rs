@@ -1,14 +1,21 @@
-//! End-to-end checks of the observability sinks and the QoR gate through
-//! the `nanomap` binary: Chrome-trace export, metrics-on-stdout, QoR
-//! document emission, and `qor-diff` exit codes.
+//! End-to-end checks of the observability sinks and the metrics gate
+//! through the `nanomap` binary: Chrome-trace export, metrics-on-stdout,
+//! QoR document emission, and `qor-diff`/`perf-diff` exit codes.
 
 use std::path::PathBuf;
 use std::process::Command;
 
+use nanomap::{MetricsDocument, Schema};
 use nanomap_observe::json::{parse, JsonValue};
 
+fn repo_file(path: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(path)
+}
+
 fn design() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../designs/accumulator.vhd")
+    repo_file("designs/accumulator.vhd")
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -100,7 +107,7 @@ fn cli_emits_trace_metrics_and_qor() {
 
     // --- QoR document parses under the schema and covers the basics. ---
     let qor_text = std::fs::read_to_string(&qor_path).unwrap();
-    let doc = nanomap::QorDocument::parse(&qor_text).expect("QoR schema");
+    let doc = MetricsDocument::parse(&qor_text, Schema::Qor).expect("QoR schema");
     let report = doc.circuit("accumulator").expect("accumulator report");
     for metric in [
         "num_luts",
@@ -177,8 +184,8 @@ fn qor_diff_gates_on_regression() {
 
     // Mutate one exactly-gated metric and expect failure.
     let text = std::fs::read_to_string(&qor_path).unwrap();
-    let mut doc = nanomap::QorDocument::parse(&text).unwrap();
-    *doc.reports[0].metrics.get_mut("num_les").unwrap() += 1.0;
+    let mut doc = MetricsDocument::parse(&text, Schema::Qor).unwrap();
+    *doc.circuits[0].metrics.get_mut("num_les").unwrap() += 1.0;
     let bad_path = tmp("diff-bad.json");
     std::fs::write(&bad_path, doc.to_json().to_pretty_string()).unwrap();
 
@@ -193,7 +200,7 @@ fn qor_diff_gates_on_regression() {
     // A missing circuit also fails.
     std::fs::write(
         &bad_path,
-        nanomap::QorDocument::new(vec![])
+        MetricsDocument::new(Schema::Qor, vec![])
             .to_json()
             .to_pretty_string(),
     )
@@ -209,25 +216,77 @@ fn qor_diff_gates_on_regression() {
     }
 }
 
-/// The committed baselines stay parseable under the current schema — a
-/// guard against silently rotting `results/qor/`.
+/// `perf-diff` exits zero on identical documents, non-zero once a phase
+/// median slows down past both bands, and rejects a QoR document.
+#[test]
+fn perf_diff_gates_on_regression_and_schema() {
+    let base_path = repo_file("results/perf/bench.json");
+    let base = base_path.to_str().unwrap();
+    let out = nanomap(&["perf-diff", base, base]);
+    assert!(out.status.success(), "identical documents must pass");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("perf gate: PASS"));
+
+    // Triple the slowest phase median of the first circuit.
+    let text = std::fs::read_to_string(&base_path).unwrap();
+    let mut doc = MetricsDocument::parse(&text, Schema::Perf).unwrap();
+    let (metric, median) = doc.circuits[0]
+        .metrics
+        .iter()
+        .filter(|(name, _)| name.ends_with(".median_ms"))
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(name, &ms)| (name.clone(), ms))
+        .expect("a phase median");
+    assert!(2.0 * median > 25.0, "{metric} too fast to clear the guard");
+    doc.circuits[0].set(&metric, 3.0 * median);
+    let slow_path = tmp("perf-slow.json");
+    std::fs::write(&slow_path, doc.to_json().to_pretty_string()).unwrap();
+    let out = nanomap(&["perf-diff", base, slow_path.to_str().unwrap()]);
+    assert!(!out.status.success(), "a tripled median must fail the gate");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("REGRESSION") && stdout.contains(&metric),
+        "{stdout}"
+    );
+    assert!(stdout.contains("perf gate: FAIL"), "{stdout}");
+
+    // A QoR document is not a perf document.
+    let qor = repo_file("results/qor/accumulator.json");
+    let out = nanomap(&["perf-diff", base, qor.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("schema"), "{stderr}");
+
+    let _ = std::fs::remove_file(slow_path);
+}
+
+/// The committed baselines stay parseable under the current schema and
+/// re-emit to exactly their file bytes — a guard against silently
+/// rotting `results/qor/` and `results/perf/`.
 #[test]
 fn committed_baselines_parse() {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/qor");
     let mut seen = 0;
-    for entry in std::fs::read_dir(dir).expect("results/qor exists") {
-        let path = entry.unwrap().path();
-        if path.extension().and_then(|e| e.to_str()) != Some("json") {
-            continue;
+    for (dir, schema) in [("results/qor", Schema::Qor), ("results/perf", Schema::Perf)] {
+        for entry in std::fs::read_dir(repo_file(dir)).expect("baseline dir exists") {
+            let path = entry.unwrap().path();
+            if path.extension().and_then(|e| e.to_str()) != Some("json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let doc = MetricsDocument::parse(&text, schema)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert!(!doc.circuits.is_empty(), "{} is empty", path.display());
+            // `atomic_write_text` appends the trailing newline.
+            let reemitted = format!("{}\n", doc.to_json().to_pretty_string());
+            assert!(
+                reemitted == text,
+                "{} does not re-emit byte for byte",
+                path.display()
+            );
+            seen += 1;
         }
-        let text = std::fs::read_to_string(&path).unwrap();
-        let doc = nanomap::QorDocument::parse(&text)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert!(!doc.reports.is_empty(), "{} is empty", path.display());
-        seen += 1;
     }
     assert!(
-        seen >= 2,
-        "expected bench + accumulator baselines, saw {seen}"
+        seen >= 3,
+        "expected QoR bench + accumulator and perf bench baselines, saw {seen}"
     );
 }

@@ -27,14 +27,13 @@
 // must surface as typed errors, never panics.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use nanomap_arch::{ArchParams, Grid, SmbPos};
 use nanomap_netlist::{FfId, LutId, LutNetwork, SignalRef};
 use nanomap_observe::{json, JsonValue};
-use nanomap_pack::{Packing, Slice};
+use nanomap_pack::{Packing, Slice, TemporalDesign};
 use nanomap_sched::Schedule;
 
 use crate::artifact::atomic_write_text;
@@ -231,8 +230,8 @@ impl ScheduleSnapshot {
     }
 }
 
-/// Frozen temporal clustering, with the `HashMap`s flattened into sorted
-/// arrays for deterministic serialization.
+/// Frozen temporal clustering as sorted arrays: the dense [`Packing`]
+/// with its unassigned and zero entries left out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackSnapshot {
     /// SMB count.
@@ -254,62 +253,92 @@ pub struct PackSnapshot {
 impl PackSnapshot {
     /// Freezes a packing.
     pub fn capture(packing: &Packing) -> Self {
-        fn id_map<K: Copy>(map: &HashMap<K, u32>, index: impl Fn(K) -> u32) -> Vec<(u32, u32)> {
-            let mut v: Vec<(u32, u32)> = map.iter().map(|(&k, &s)| (index(k), s)).collect();
-            v.sort_unstable();
-            v
-        }
-        fn occ_map(map: &HashMap<(u32, Slice), u32>) -> Vec<(u32, u32, u32, u32)> {
-            let mut v: Vec<(u32, u32, u32, u32)> = map
-                .iter()
-                .map(|(&(smb, slice), &n)| (smb, slice.plane as u32, slice.stage, n))
-                .collect();
-            v.sort_unstable();
-            v
+        let mut lut_occupancy = Vec::new();
+        let mut ff_occupancy = Vec::new();
+        for (smb, slice, luts, ffs) in packing.occupancy() {
+            let cell = |n| (smb, slice.plane as u32, slice.stage, n);
+            if luts > 0 {
+                lut_occupancy.push(cell(luts));
+            }
+            if ffs > 0 {
+                ff_occupancy.push(cell(ffs));
+            }
         }
         Self {
             num_smbs: packing.num_smbs,
-            lut_smb: id_map(&packing.lut_smb, |l: LutId| l.0),
-            lut_le: id_map(&packing.lut_le, |l: LutId| l.0),
-            stored_smb: id_map(&packing.stored_smb, |l: LutId| l.0),
-            ff_smb: id_map(&packing.ff_smb, |f: FfId| f.0),
-            lut_occupancy: occ_map(&packing.lut_occupancy),
-            ff_occupancy: occ_map(&packing.ff_occupancy),
+            lut_smb: packing.luts().map(|(l, smb, _)| (l.0, smb)).collect(),
+            lut_le: packing.luts().map(|(l, _, le)| (l.0, le)).collect(),
+            stored_smb: packing
+                .luts()
+                .filter_map(|(l, ..)| Some((l.0, packing.stored_smb(l)?)))
+                .collect(),
+            ff_smb: packing.ffs().map(|(f, smb)| (f.0, smb)).collect(),
+            lut_occupancy,
+            ff_occupancy,
         }
     }
 
-    /// Rebuilds the packing.
-    pub fn restore(&self) -> Packing {
-        fn occ_map(entries: &[(u32, u32, u32, u32)]) -> HashMap<(u32, Slice), u32> {
-            entries
-                .iter()
-                .map(|&(smb, plane, stage, n)| {
-                    (
-                        (
-                            smb,
-                            Slice {
-                                plane: plane as usize,
-                                stage,
-                            },
-                        ),
-                        n,
-                    )
+    /// Rebuilds the packing over `design`.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Malformed`] when an entry names a LUT,
+    /// flip-flop, SMB or slice outside the design, or a LUT or flip-flop
+    /// is left without an SMB.
+    pub fn restore(&self, design: &TemporalDesign<'_>) -> Result<Packing, CheckpointError> {
+        let net = design.net;
+        let malformed = |what: &str| CheckpointError::Malformed {
+            detail: format!("packing snapshot: {what}"),
+        };
+        // Every LUT, stored value and flip-flop opens at most one SMB.
+        if self.num_smbs as usize > 2 * net.num_luts() + net.num_ffs() {
+            return Err(malformed("more SMBs than the netlist can fill"));
+        }
+        let smb = |s: u32| {
+            (s < self.num_smbs)
+                .then_some(s)
+                .ok_or_else(|| malformed("SMB out of range"))
+        };
+        let complete = |ids: &[(u32, u32)], n: usize| {
+            ids.len() == n && ids.iter().enumerate().all(|(i, &(id, _))| id as usize == i)
+        };
+        if !complete(&self.lut_smb, net.num_luts())
+            || !complete(&self.lut_le, net.num_luts())
+            || !complete(&self.ff_smb, net.num_ffs())
+        {
+            return Err(malformed("LUT or flip-flop ids do not cover the netlist"));
+        }
+        let mut packing = Packing::new(design);
+        for _ in 0..self.num_smbs {
+            packing.open_smb();
+        }
+        for (&(l, s), &(_, le)) in self.lut_smb.iter().zip(&self.lut_le) {
+            packing.assign_lut(LutId(l), smb(s)?, le);
+        }
+        for &(l, s) in &self.stored_smb {
+            if l as usize >= net.num_luts() {
+                return Err(malformed("stored value of an unknown LUT"));
+            }
+            packing.assign_stored(LutId(l), smb(s)?);
+        }
+        for &(f, s) in &self.ff_smb {
+            packing.assign_ff(FfId(f), smb(s)?);
+        }
+        let slice = |plane: u32, stage: u32| {
+            ((plane as usize) < design.planes.num_planes() && stage < design.stages)
+                .then_some(Slice {
+                    plane: plane as usize,
+                    stage,
                 })
-                .collect()
+                .ok_or_else(|| malformed("slice out of range"))
+        };
+        for &(s, plane, stage, n) in &self.lut_occupancy {
+            packing.add_occupancy(smb(s)?, slice(plane, stage)?, n, 0);
         }
-        Packing {
-            num_smbs: self.num_smbs,
-            lut_smb: self.lut_smb.iter().map(|&(l, s)| (LutId(l), s)).collect(),
-            lut_le: self.lut_le.iter().map(|&(l, s)| (LutId(l), s)).collect(),
-            stored_smb: self
-                .stored_smb
-                .iter()
-                .map(|&(l, s)| (LutId(l), s))
-                .collect(),
-            ff_smb: self.ff_smb.iter().map(|&(f, s)| (FfId(f), s)).collect(),
-            lut_occupancy: occ_map(&self.lut_occupancy),
-            ff_occupancy: occ_map(&self.ff_occupancy),
+        for &(s, plane, stage, n) in &self.ff_occupancy {
+            packing.add_occupancy(smb(s)?, slice(plane, stage)?, 0, n);
         }
+        Ok(packing)
     }
 }
 
@@ -939,6 +968,24 @@ mod tests {
         net
     }
 
+    /// Restores the sample's packing over a design of its shape: two
+    /// LUTs, one flip-flop, one plane folded into six stages.
+    fn restore_sample(snapshot: &PackSnapshot) -> Result<Packing, CheckpointError> {
+        use nanomap_netlist::PlaneSet;
+        use nanomap_sched::{schedule_fds, FdsOptions, ItemGraph};
+        let mut net = LutNetwork::new("pair");
+        let ff = net.add_ff(SignalRef::Const(false), None);
+        let a = net.add_lut(TruthTable::inverter(), vec![SignalRef::Ff(ff)]);
+        let b = net.add_lut(TruthTable::inverter(), vec![a]);
+        net.set_ff_input(ff, b);
+        net.add_output("q", SignalRef::Ff(ff));
+        let planes = PlaneSet::extract(&net).unwrap();
+        let graph = ItemGraph::build(&net, &planes.planes()[0], 1).unwrap();
+        let schedule = schedule_fds(&net, &graph, 6, FdsOptions::default()).unwrap();
+        let design = TemporalDesign::new(&net, &planes, vec![graph], vec![schedule]).unwrap();
+        snapshot.restore(&design)
+    }
+
     fn sample() -> Checkpoint {
         Checkpoint {
             circuit: "fig1".into(),
@@ -992,10 +1039,40 @@ mod tests {
 
     #[test]
     fn pack_snapshot_round_trips_the_packing() {
-        let packing = sample().packing.unwrap().restore();
-        assert_eq!(PackSnapshot::capture(&packing), sample().packing.unwrap());
-        assert_eq!(packing.lut_smb[&LutId(1)], 1);
-        assert_eq!(packing.lut_occupancy[&(1, Slice { plane: 0, stage: 3 })], 1);
+        let snapshot = sample().packing.unwrap();
+        let packing = restore_sample(&snapshot).unwrap();
+        assert_eq!(PackSnapshot::capture(&packing), snapshot);
+        assert_eq!(packing.lut_smb(LutId(1)), 1);
+        assert_eq!(packing.lut_occupancy(1, Slice { plane: 0, stage: 3 }), 1);
+        // Entries outside the design are rejected, not indexed.
+        let out_of_range = [
+            PackSnapshot {
+                lut_smb: vec![(0, 0), (1, 2)],
+                ..snapshot.clone()
+            },
+            PackSnapshot {
+                ff_smb: vec![(0, 0), (1, 0)],
+                ..snapshot.clone()
+            },
+            PackSnapshot {
+                stored_smb: vec![(5, 1)],
+                ..snapshot.clone()
+            },
+            PackSnapshot {
+                lut_occupancy: vec![(0, 0, 6, 1)],
+                ..snapshot.clone()
+            },
+            PackSnapshot {
+                num_smbs: u32::MAX,
+                ..snapshot
+            },
+        ];
+        for bad in &out_of_range {
+            assert!(
+                matches!(restore_sample(bad), Err(CheckpointError::Malformed { .. })),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]
@@ -1074,7 +1151,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut ckpt = sample();
         ckpt.phase = CheckpointPhase::Fds;
-        let packing = ckpt.packing.take().unwrap().restore();
+        let packing = restore_sample(&ckpt.packing.take().unwrap()).unwrap();
         let (grid, pos) = ckpt.placement.take().unwrap().restore().unwrap();
         let mut writer = CheckpointWriter::new(&dir, ckpt).unwrap();
         writer.write_fds().unwrap();

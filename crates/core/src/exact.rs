@@ -199,7 +199,7 @@ impl NanoMap {
             Err(e) => return ExactRungResult::Fatal(e),
         };
         let n = packing.num_smbs;
-        let required = packing.required_sets(design);
+        let required = packing.required_sets();
         let overrides =
             Remedy::ExactAssign.apply(self.place_options, self.route_options, self.channels);
         let base_slack = overrides.place.grid_slack;
@@ -595,7 +595,7 @@ mod tests {
                 continue;
             };
             let packing = &eval.packed(&flow.arch, flow.pack_options).unwrap().packing;
-            let required = packing.required_sets(&eval.design);
+            let required = packing.required_sets();
             let num_sets = required
                 .iter()
                 .flat_map(|s| s.iter())

@@ -18,7 +18,7 @@
 
 use nanomap_arch::{ArchParams, ChannelConfig, TimingModel, WireType};
 use nanomap_observe::JsonValue;
-use nanomap_pack::{OccupancyMap, Packing, Slice, SliceNets, TemporalDesign};
+use nanomap_pack::{Packing, Slice, SliceNets, TemporalDesign};
 use nanomap_place::{estimate_demand_grid, DemandGrid, Placement};
 use nanomap_route::{
     net_delays, segment_breakdowns, tally_congestion, trace_critical_paths, CongestionGrid,
@@ -52,8 +52,13 @@ pub struct ExplainReport {
     pub usage: UsageReport,
     /// Placement-time estimated wiring demand.
     pub demand: DemandGrid,
-    /// Per-SMB, per-cycle resource occupancy and NRAM view.
-    pub occupancy: OccupancyMap,
+    /// The packing, whose per-SMB, per-cycle occupancy the artifact
+    /// reports.
+    pub packing: Packing,
+    /// Folding cycles in execution order.
+    pub slices: Vec<Slice>,
+    /// LUT and flip-flop bit capacity of one SMB.
+    pub smb_capacity: (u32, u32),
 }
 
 impl ExplainReport {
@@ -78,7 +83,6 @@ impl ExplainReport {
             trace_critical_paths(design, packing, &delays, &breakdowns, timing, arch, top_k);
         let congestion = tally_congestion(&routed.graph, &routed.routes);
         let demand = estimate_demand_grid(placement.grid, channels, nets, &placement.pos_of);
-        let occupancy = OccupancyMap::build(design, packing, arch);
         let smb_pos = placement
             .pos_of
             .iter()
@@ -94,7 +98,9 @@ impl ExplainReport {
             congestion,
             usage: routed.usage.into(),
             demand,
-            occupancy,
+            packing: packing.clone(),
+            slices: design.slices(),
+            smb_capacity: (arch.luts_per_smb(), arch.ffs_per_smb()),
         }
     }
 
@@ -149,7 +155,10 @@ impl ExplainReport {
                     ),
                 ),
             )
-            .with("occupancy", occupancy_json(&self.occupancy))
+            .with(
+                "occupancy",
+                occupancy_json(&self.packing, &self.slices, self.smb_capacity),
+            )
     }
 
     /// Checks the artifact's internal invariants on the live structure
@@ -241,22 +250,19 @@ impl ExplainReport {
         // Placement utilization: peak LUT fill of the SMB in each cell.
         let mut fill = vec![0.0f64; w * h];
         for (smb, &(x, y)) in self.smb_pos.iter().enumerate() {
-            let peak = self
-                .occupancy
-                .per_slice
-                .values()
-                .map(|o| o.luts.get(smb).copied().unwrap_or(0))
-                .max()
-                .unwrap_or(0);
+            let per_slice = self.slices.iter();
+            let peak = per_slice
+                .map(|&s| self.packing.lut_occupancy(smb as u32, s))
+                .max();
             fill[usize::from(y) * w + usize::from(x)] =
-                f64::from(peak) / f64::from(self.occupancy.lut_capacity.max(1));
+                f64::from(peak.unwrap_or(0)) / f64::from(self.smb_capacity.0.max(1));
         }
         out.push_str("\nplacement utilization (peak LUT fill per cell):\n");
         out.push_str(&ascii_heatmap(w, h, &fill, 1.0));
 
         // Per-stage NRAM occupancy.
         out.push_str("\nNRAM-set occupancy per folding stage:\n");
-        for (slice, f) in self.occupancy.nram_stage_fill() {
+        for (slice, f) in stage_fill(&self.packing, &self.slices, self.smb_capacity.0) {
             let filled = (f * 20.0).round() as usize;
             out.push_str(&format!(
                 "  {} [{}{}] {:>5.1}%\n",
@@ -499,28 +505,44 @@ fn congestion_json(c: &CongestionGrid) -> JsonValue {
         .with("combined_cells", counts_json(&c.combined_cells()))
 }
 
-fn occupancy_json(o: &OccupancyMap) -> JsonValue {
+/// Per-stage NRAM-set occupancy: for each folding cycle, the fraction of
+/// the fabric's LUT slots whose configuration set is programmed.
+fn stage_fill(packing: &Packing, slices: &[Slice], lut_capacity: u32) -> Vec<(Slice, f64)> {
+    let capacity = f64::from(packing.num_smbs * lut_capacity);
+    let fill = |slice| {
+        let smbs = 0..packing.num_smbs;
+        let luts: u32 = smbs.map(|smb| packing.lut_occupancy(smb, slice)).sum();
+        if capacity == 0.0 {
+            0.0
+        } else {
+            f64::from(luts) / capacity
+        }
+    };
+    slices.iter().map(|&slice| (slice, fill(slice))).collect()
+}
+
+/// Per-SMB occupancy of every folding cycle, with capacities, the NRAM
+/// sets consumed (one per cycle) and the per-stage NRAM-set fill.
+fn occupancy_json(packing: &Packing, slices: &[Slice], (luts, ffs): (u32, u32)) -> JsonValue {
+    let per_smb = |slice, count: fn(&Packing, u32, Slice) -> u32| {
+        let smbs = 0..packing.num_smbs;
+        JsonValue::Array(smbs.map(|smb| count(packing, smb, slice).into()).collect())
+    };
     JsonValue::object()
-        .with("num_smbs", o.num_smbs)
-        .with("lut_capacity", o.lut_capacity)
-        .with("ff_capacity", o.ff_capacity)
-        .with("nram_sets_used", o.nram_sets_used())
+        .with("num_smbs", packing.num_smbs)
+        .with("lut_capacity", luts)
+        .with("ff_capacity", ffs)
+        .with("nram_sets_used", slices.len() as u32)
         .with(
             "per_slice",
             JsonValue::Array(
-                o.per_slice
+                slices
                     .iter()
-                    .map(|(&slice, occ)| {
+                    .map(|&slice| {
                         JsonValue::object()
                             .with("slice", slice_json(slice))
-                            .with(
-                                "luts",
-                                JsonValue::Array(occ.luts.iter().map(|&c| c.into()).collect()),
-                            )
-                            .with(
-                                "ffs",
-                                JsonValue::Array(occ.ffs.iter().map(|&c| c.into()).collect()),
-                            )
+                            .with("luts", per_smb(slice, Packing::lut_occupancy))
+                            .with("ffs", per_smb(slice, Packing::ff_occupancy))
                     })
                     .collect(),
             ),
@@ -528,7 +550,7 @@ fn occupancy_json(o: &OccupancyMap) -> JsonValue {
         .with(
             "nram_stage_fill",
             JsonValue::Array(
-                o.nram_stage_fill()
+                stage_fill(packing, slices, luts)
                     .into_iter()
                     .map(|(slice, f)| {
                         JsonValue::object()
@@ -651,6 +673,45 @@ mod tests {
         // Zero renders empty, the max renders the hottest glyph.
         assert!(lines[1].contains(' '));
         assert!(lines[2].ends_with("@|"));
+    }
+
+    #[test]
+    fn occupancy_fills_and_nram_view() {
+        use nanomap_netlist::{LutNetwork, PlaneSet, SignalRef, TruthTable};
+        use nanomap_sched::{schedule_fds, FdsOptions, ItemGraph};
+        // A two-LUT chain folded into two cycles, packed by hand: 2 SMBs.
+        let mut net = LutNetwork::new("pair");
+        let ff = net.add_ff(SignalRef::Const(false), None);
+        let a = net.add_lut(TruthTable::inverter(), vec![SignalRef::Ff(ff)]);
+        let b = net.add_lut(TruthTable::inverter(), vec![a]);
+        net.set_ff_input(ff, b);
+        let planes = PlaneSet::extract(&net).unwrap();
+        let graph = ItemGraph::build(&net, &planes.planes()[0], 1).unwrap();
+        let schedule = schedule_fds(&net, &graph, 2, FdsOptions::default()).unwrap();
+        let design = TemporalDesign::new(&net, &planes, vec![graph], vec![schedule]).unwrap();
+        let slices = design.slices();
+        let mut packing = Packing::new(&design);
+        packing.open_smb();
+        packing.open_smb();
+        packing.add_occupancy(0, slices[0], 16, 0);
+        packing.add_occupancy(1, slices[0], 4, 0);
+        packing.add_occupancy(0, slices[1], 8, 0);
+        packing.add_occupancy(1, slices[1], 0, 3);
+
+        let stages = stage_fill(&packing, &slices, 16);
+        assert_eq!(stages.len(), 2);
+        // Stage 0 programs 20 of 32 LUT slots; stage 1 programs 8.
+        assert!((stages[0].1 - 20.0 / 32.0).abs() < 1e-12);
+        assert!((stages[1].1 - 8.0 / 32.0).abs() < 1e-12);
+        let doc = occupancy_json(&packing, &slices, (16, 32));
+        assert_eq!(
+            doc.get("nram_sets_used").and_then(JsonValue::as_int),
+            Some(2)
+        );
+        let per_slice = doc.get("per_slice").and_then(JsonValue::as_array).unwrap();
+        let column = |i: usize, key: &str| per_slice[i].get(key).unwrap().to_compact_string();
+        assert_eq!(column(0, "luts"), "[16,4]");
+        assert_eq!(column(1, "ffs"), "[0,3]");
     }
 
     #[test]

@@ -531,8 +531,9 @@ impl NanoMap {
             schedules.push(snapshot.restore());
         }
         let mut eval = CandidateEval::new(self, net, &planes, config, graphs, schedules, None)?;
-        if let Some(packing) = &checkpoint.packing {
-            eval = eval.with_packing(packing.restore());
+        if let Some(snapshot) = &checkpoint.packing {
+            let packing = snapshot.restore(&eval.design)?;
+            eval = eval.with_packing(packing);
         }
         times.fds_ms = restore_start.elapsed().as_secs_f64() * 1e3;
         let mut placement = match checkpoint.placement.as_ref() {

@@ -1,7 +1,5 @@
 //! The temporal design: all planes' schedules stitched together.
 
-use std::collections::HashMap;
-
 use nanomap_netlist::{LutId, LutNetwork, PlaneSet};
 use nanomap_sched::{ItemGraph, Schedule};
 
@@ -30,8 +28,8 @@ pub struct TemporalDesign<'a> {
     pub schedules: Vec<Schedule>,
     /// Folding stages per plane.
     pub stages: u32,
-    /// Slice of every LUT.
-    slice_of_lut: HashMap<LutId, Slice>,
+    /// Slice of every LUT, indexed by [`LutId`].
+    slice_of_lut: Vec<Option<Slice>>,
 }
 
 impl<'a> TemporalDesign<'a> {
@@ -68,12 +66,12 @@ impl<'a> TemporalDesign<'a> {
                 return Err(PackError::InvalidSchedule { plane: p });
             }
         }
-        let mut slice_of_lut = HashMap::new();
+        let mut slice_of_lut = vec![None; net.num_luts()];
         for (p, g) in graphs.iter().enumerate() {
             for (i, item) in g.items.iter().enumerate() {
                 let stage = schedules[p].stage_of[i];
                 for &lut in &item.luts {
-                    slice_of_lut.insert(lut, Slice { plane: p, stage });
+                    slice_of_lut[lut.index()] = Some(Slice { plane: p, stage });
                 }
             }
         }
@@ -94,7 +92,7 @@ impl<'a> TemporalDesign<'a> {
     /// Panics if the LUT is not part of any plane (should not happen for
     /// validated designs).
     pub fn slice_of(&self, lut: LutId) -> Slice {
-        self.slice_of_lut[&lut]
+        self.slice_of_lut[lut.index()].expect("LUT belongs to a plane")
     }
 
     /// All slices in execution order.

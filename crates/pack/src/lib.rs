@@ -18,11 +18,9 @@
 mod design;
 mod error;
 mod nets;
-mod occupancy;
 mod packer;
 
 pub use design::{Slice, TemporalDesign};
 pub use error::PackError;
 pub use nets::{extract_nets, SliceNet, SliceNets};
-pub use occupancy::{OccupancyMap, SliceOccupancy};
 pub use packer::{pack, PackOptions, Packing};

@@ -57,43 +57,29 @@ pub fn extract_nets(design: &TemporalDesign<'_>, packing: &Packing) -> SliceNets
 
     for (id, lut) in net.luts() {
         let slice = design.slice_of(id);
-        let my_smb = packing.lut_smb[&id];
+        let my_smb = packing.lut_smb(id);
         for input in &lut.inputs {
-            match *input {
-                SignalRef::Lut(u) => {
-                    let u_slice = design.slice_of(u);
-                    if u_slice == slice {
-                        // Combinational connection within the slice.
-                        add(slice, packing.lut_smb[&u], my_smb);
-                    } else {
-                        // Read of a stored value: the bit lives in the
-                        // storage SMB (falling back to the producer's).
-                        let store = packing
-                            .stored_smb
-                            .get(&u)
-                            .or_else(|| packing.lut_smb.get(&u))
-                            .copied()
-                            .expect("packed producer");
-                        add(slice, store, my_smb);
-                    }
-                }
-                SignalRef::Ff(f) => {
-                    add(slice, packing.ff_smb[&f], my_smb);
-                }
-                SignalRef::Input(_) | SignalRef::Const(_) => {}
-            }
+            let source = match *input {
+                // Combinational connection within the slice.
+                SignalRef::Lut(u) if design.slice_of(u) == slice => packing.lut_smb(u),
+                // Read of a stored value: the bit lives in the storage SMB
+                // (falling back to the producer's).
+                SignalRef::Lut(u) => packing.read_smb(u),
+                SignalRef::Ff(f) => packing.ff_smb(f),
+                SignalRef::Input(_) | SignalRef::Const(_) => continue,
+            };
+            add(slice, source, my_smb);
         }
-    }
-    // Storage writes: producer SMB -> storage SMB in the producer's slice.
-    for (&lut, &store) in &packing.stored_smb {
-        let slice = design.slice_of(lut);
-        add(slice, packing.lut_smb[&lut], store);
+        // Storage write: producer SMB -> storage SMB in the producer's slice.
+        if let Some(store) = packing.stored_smb(id) {
+            add(slice, my_smb, store);
+        }
     }
     // Flip-flop writes: driver SMB -> FF SMB in the driver's slice.
     for (fid, ff) in net.ffs() {
         if let SignalRef::Lut(u) = ff.d {
             let slice = design.slice_of(u);
-            add(slice, packing.lut_smb[&u], packing.ff_smb[&fid]);
+            add(slice, packing.lut_smb(u), packing.ff_smb(fid));
         }
     }
 

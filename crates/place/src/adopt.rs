@@ -169,7 +169,7 @@ mod tests {
         let arch = ArchParams::paper();
         let packing = pack(&design, &arch, PackOptions::default()).unwrap();
         let nets = extract_nets(&design, &packing);
-        let required = packing.required_sets(&design);
+        let required = packing.required_sets();
         let grid = Grid::new(2, 2);
         let channels = ChannelConfig::nature();
         let timing = TimingModel::nature_100nm();

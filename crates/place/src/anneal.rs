@@ -1,5 +1,8 @@
 //! Simulated-annealing engine (VPR-style adaptive schedule).
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
 use nanomap_arch::{Grid, SmbPos};
 use nanomap_observe::rng::XorShift64Star;
 use nanomap_observe::{CancelToken, Degradation};
@@ -97,6 +100,53 @@ pub fn anneal_budgeted(
     legal: Option<&[bool]>,
     token: &CancelToken,
 ) -> (f64, Option<Degradation>) {
+    let merged = merge_parallel_nets(nets);
+    anneal_nets(
+        grid,
+        &merged,
+        nets.len(),
+        pos_of,
+        schedule,
+        rng,
+        legal,
+        token,
+    )
+}
+
+/// Nets over the same SMBs as one net of their summed weight. Such nets
+/// cost the same under every placement, so annealing the merged list
+/// takes the same moves: the weights are 1, 1.5 or 0 and HPWL is an
+/// integer, so every cost and delta is exact either way.
+fn merge_parallel_nets(nets: &[FlatNet]) -> Vec<FlatNet> {
+    let mut merged: Vec<FlatNet> = Vec::with_capacity(nets.len());
+    let mut by_pins: HashMap<Vec<u32>, usize> = HashMap::with_capacity(nets.len());
+    for net in nets {
+        let mut pins = net.pins.clone();
+        pins.sort_unstable();
+        match by_pins.entry(pins) {
+            Entry::Occupied(e) => merged[*e.get()].weight += net.weight,
+            Entry::Vacant(e) => {
+                e.insert(merged.len());
+                merged.push(net.clone());
+            }
+        }
+    }
+    merged
+}
+
+/// [`anneal_budgeted`] over `nets`, stopping at a temperature scaled by
+/// the cost per net of the `net_count` nets the caller passed.
+#[allow(clippy::too_many_arguments)]
+fn anneal_nets(
+    grid: Grid,
+    nets: &[FlatNet],
+    net_count: usize,
+    pos_of: &mut [SmbPos],
+    schedule: AnnealSchedule,
+    rng: &mut XorShift64Star,
+    legal: Option<&[bool]>,
+    token: &CancelToken,
+) -> (f64, Option<Degradation>) {
     let n = pos_of.len();
     let cost_series = nanomap_observe::series("place.cost");
     if n <= 1 || nets.is_empty() {
@@ -129,7 +179,7 @@ pub fn anneal_budgeted(
 
     let moves_per_t = (schedule.inner_num * (n as f64).powf(4.0 / 3.0)).ceil() as usize;
     let moves_per_t = moves_per_t.max(8);
-    let t_min = schedule.t_min_factor * (cost / nets.len() as f64).max(1e-9);
+    let t_min = schedule.t_min_factor * (cost / net_count as f64).max(1e-9);
 
     // Range limiting (VPR): start with whole-chip moves, shrink with
     // acceptance rate.
@@ -261,15 +311,21 @@ fn move_delta(
     }
     let b = occupant[slot_b];
     // Affected nets: those touching a (and b if swap). Nets touching both
-    // must be counted once, so skip b's nets that also touch a.
+    // must be counted once, so skip b's nets that also touch a: both
+    // index lists ascend, so one merge walk finds them.
     let before_after = |pos_of: &[SmbPos]| -> f64 {
+        let a_nets = &net_index[a];
         let mut total = 0.0;
-        for &i in &net_index[a] {
+        for &i in a_nets {
             total += nets[i].weight * net_hpwl(&nets[i], pos_of);
         }
         if let Some(b) = b {
+            let mut k = 0;
             for &i in &net_index[b] {
-                if !net_index[a].contains(&i) {
+                while k < a_nets.len() && a_nets[k] < i {
+                    k += 1;
+                }
+                if a_nets.get(k) != Some(&i) {
                     total += nets[i].weight * net_hpwl(&nets[i], pos_of);
                 }
             }
@@ -502,6 +558,52 @@ mod tests {
             (pos, cost)
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn parallel_nets_anneal_as_one() {
+        // Every net appears twice or three times, with the weights the
+        // placer uses (1 plain, 1.5 critical); pins in varying order.
+        let grid = Grid::new(4, 4);
+        let mut nets = Vec::new();
+        for i in 0..12u32 {
+            let pins = vec![i, i + 1, (i * 5 + 3) % 14];
+            let mut reversed = pins.clone();
+            reversed.reverse();
+            nets.push(FlatNet { pins, weight: 1.0 });
+            nets.push(FlatNet {
+                pins: reversed.clone(),
+                weight: 1.5,
+            });
+            if i % 3 == 0 {
+                nets.push(FlatNet {
+                    pins: reversed,
+                    weight: 1.0,
+                });
+            }
+        }
+        assert!(merge_parallel_nets(&nets).len() < nets.len());
+        let start: Vec<SmbPos> = (0..14).map(|i| grid.pos((i * 7) % 16)).collect();
+        let token = CancelToken::unlimited();
+        let run = |merge: bool| {
+            let mut pos = start.clone();
+            let mut rng = XorShift64Star::new(3);
+            let schedule = AnnealSchedule::detailed();
+            let (cost, _) = if merge {
+                anneal_budgeted(grid, &nets, &mut pos, schedule, &mut rng, None, &token)
+            } else {
+                let count = nets.len();
+                anneal_nets(
+                    grid, &nets, count, &mut pos, schedule, &mut rng, None, &token,
+                )
+            };
+            (pos, cost)
+        };
+        let (merged_pos, merged_cost) = run(true);
+        let (plain_pos, plain_cost) = run(false);
+        assert_eq!(merged_pos, plain_pos);
+        assert_eq!(merged_cost.to_bits(), plain_cost.to_bits());
+        assert_ne!(merged_pos, start, "annealing moved nothing");
     }
 
     #[test]

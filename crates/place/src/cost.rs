@@ -92,12 +92,14 @@ pub fn total_cost(nets: &[FlatNet], pos_of: &[SmbPos]) -> f64 {
     nets.iter().map(|n| n.weight * net_hpwl(n, pos_of)).sum()
 }
 
-/// Index from SMB to the nets touching it (for incremental updates).
+/// Index from SMB to the nets touching it (for incremental updates),
+/// each list ascending and without repeats.
 pub fn nets_of_smb(nets: &[FlatNet], num_smbs: u32) -> Vec<Vec<usize>> {
     let mut idx = vec![Vec::new(); num_smbs as usize];
     for (i, n) in nets.iter().enumerate() {
         for &p in &n.pins {
-            if !idx[p as usize].contains(&i) {
+            // A net's pins are visited together, so a repeat is last.
+            if idx[p as usize].last() != Some(&i) {
                 idx[p as usize].push(i);
             }
         }

@@ -56,26 +56,20 @@ pub fn estimate_delay(
     for id in order {
         let lut = net.lut(id);
         let slice = design.slice_of(id);
-        let my_pos = pos_of_smb(packing.lut_smb[&id]);
+        let my_pos = pos_of_smb(packing.lut_smb(id));
         let mut input_arrival = 0.0f64;
         for input in &lut.inputs {
             let (src_pos, upstream) = match *input {
                 SignalRef::Lut(u) => {
                     if design.slice_of(u) == slice {
                         // Same-cycle combinational input.
-                        (pos_of_smb(packing.lut_smb[&u]), arrival[&u])
+                        (pos_of_smb(packing.lut_smb(u)), arrival[&u])
                     } else {
                         // Read from the storage location; arrival restarts.
-                        let store = packing
-                            .stored_smb
-                            .get(&u)
-                            .or_else(|| packing.lut_smb.get(&u))
-                            .copied()
-                            .expect("packed");
-                        (pos_of_smb(store), 0.0)
+                        (pos_of_smb(packing.read_smb(u)), 0.0)
                     }
                 }
-                SignalRef::Ff(f) => (pos_of_smb(packing.ff_smb[&f]), 0.0),
+                SignalRef::Ff(f) => (pos_of_smb(packing.ff_smb(f)), 0.0),
                 SignalRef::Input(_) | SignalRef::Const(_) => {
                     arrival.insert(id, timing.lut_delay);
                     continue;

@@ -32,7 +32,7 @@ pub fn generate_bitmap(
         // Group this slice's LUTs by SMB.
         let mut smb_luts: HashMap<u32, Vec<nanomap_netlist::LutId>> = HashMap::new();
         for lut in design.luts_in(slice) {
-            smb_luts.entry(packing.lut_smb[&lut]).or_default().push(lut);
+            smb_luts.entry(packing.lut_smb(lut)).or_default().push(lut);
         }
         let mut smbs: Vec<SmbConfig> = Vec::new();
         let mut smb_ids: Vec<u32> = smb_luts.keys().copied().collect();
@@ -41,17 +41,16 @@ pub fn generate_bitmap(
             let mut les: Vec<Option<LeConfig>> = vec![None; les_per_smb as usize];
             for &lut_id in &smb_luts[&smb] {
                 let lut = net.lut(lut_id);
-                let slot = packing.lut_le[&lut_id] as usize;
+                let slot = packing.lut_le(lut_id) as usize;
                 let input_select: Vec<u16> = lut
                     .inputs
                     .iter()
                     .enumerate()
                     .map(|(pin, &sig)| match sig {
                         SignalRef::Lut(u)
-                            if packing.lut_smb.get(&u) == Some(&smb)
-                                && design.slice_of(u) == slice =>
+                            if packing.lut_smb(u) == smb && design.slice_of(u) == slice =>
                         {
-                            packing.lut_le[&u] as u16
+                            packing.lut_le(u) as u16
                         }
                         _ => 0x8000 | pin as u16,
                     })
@@ -59,7 +58,7 @@ pub fn generate_bitmap(
                 // The LUT output is captured into a flip-flop when its
                 // value crosses folding cycles or feeds an architectural
                 // register.
-                let stores = packing.stored_smb.contains_key(&lut_id);
+                let stores = packing.stored_smb(lut_id).is_some();
                 let feeds_ff = net.ffs().any(|(_, ff)| ff.d == SignalRef::Lut(lut_id));
                 if slot < les.len() {
                     les[slot] = Some(LeConfig {

@@ -277,7 +277,7 @@ pub fn trace_critical_paths(
             let mut hops = Vec::new();
             let mut cursor = Some(endpoint);
             while let Some(id) = cursor {
-                let my_smb = packing.lut_smb[&id];
+                let my_smb = packing.lut_smb(id);
                 let edges = input_edges(design, packing, delays, timing, arch, &arrival, id);
                 // The critical input: argmax contribution, ties broken by
                 // input position (stable: later inputs win, matching the

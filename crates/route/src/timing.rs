@@ -135,17 +135,17 @@ pub fn input_edges(
     let net = design.net;
     let lut = net.lut(id);
     let slice = design.slice_of(id);
-    let my_smb = packing.lut_smb[&id];
+    let my_smb = packing.lut_smb(id);
     let mut out = Vec::with_capacity(lut.inputs.len());
     for input in &lut.inputs {
         let edge = match *input {
             SignalRef::Lut(u) => {
                 if design.slice_of(u) == slice {
-                    let src_smb = packing.lut_smb[&u];
+                    let src_smb = packing.lut_smb(u);
                     let hop_ns = if src_smb == my_smb {
                         // MB-aware local refinement for same-SMB chains.
-                        let mb = |l| packing.lut_le[l] / arch.les_per_mb;
-                        if mb(&u) == mb(&id) {
+                        let mb = |l| packing.lut_le(l) / arch.les_per_mb;
+                        if mb(u) == mb(id) {
                             timing.local_intra_mb
                         } else {
                             timing.local_interconnect
@@ -160,12 +160,7 @@ pub fn input_edges(
                         hop_ns,
                     }
                 } else {
-                    let store = packing
-                        .stored_smb
-                        .get(&u)
-                        .or_else(|| packing.lut_smb.get(&u))
-                        .copied()
-                        .expect("packed");
+                    let store = packing.read_smb(u);
                     InputEdge {
                         source: EdgeSource::Stored(u),
                         src_smb: Some(store),
@@ -175,7 +170,7 @@ pub fn input_edges(
                 }
             }
             SignalRef::Ff(f) => {
-                let src = packing.ff_smb[&f];
+                let src = packing.ff_smb(f);
                 InputEdge {
                     source: EdgeSource::Ff(f),
                     src_smb: Some(src),

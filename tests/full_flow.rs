@@ -213,8 +213,15 @@ fn flow_records_phase_spans_and_metrics_json() {
             snap.spans.iter().map(|s| s.name).collect::<Vec<_>>()
         );
     }
-    // Nesting: bitmap generation happens inside routing.
-    let bitmap = snap.spans_named("bitmap")[0];
+    // Nesting: bitmap generation happens inside routing. Other tests
+    // map concurrently and may have opened their `route` span before
+    // collection was enabled, so check this thread's own bitmap span.
+    let me = nanomap_observe::thread_ordinal();
+    let bitmap = snap
+        .spans_named("bitmap")
+        .into_iter()
+        .find(|s| s.tid == me)
+        .expect("this flow's bitmap span");
     let parent_id = bitmap.parent.expect("bitmap has a parent span");
     let parent = snap
         .spans

@@ -39,23 +39,28 @@ fn teardown() {
 /// reconcile with the flow's independently measured `phase_times`.
 #[test]
 fn profiled_flow_reconciles_with_phase_times() {
+    // The dsp-pack circuits: together their place and route phases
+    // collect several hundred samples each, in the optimized and the
+    // test profile alike.
+    let nets: Vec<_> = paper_benchmarks()
+        .into_iter()
+        .filter(|b| ["ASPP4", "Biquad", "Paulin"].contains(&b.name))
+        .map(|b| b.network)
+        .collect();
+    assert_eq!(nets.len(), 3);
     let _guard = obs_lock();
     observe::reset();
     observe::set_enabled(true);
-    // Sample well above the default: the optimized test profile runs the
-    // paper's FIR filter in a couple hundred milliseconds, and the
-    // reconciliation below wants >= ~100 samples per checked phase.
+    // Sample well above the default rate.
     assert!(observe::start_sampler(10_000), "sampler starts");
-
-    let net = paper_benchmarks()
-        .into_iter()
-        .find(|b| b.name == "FIR")
-        .expect("FIR is a paper benchmark")
-        .network;
     let flow = NanoMap::new(ArchParams::paper());
-    let report = flow
-        .map(&net, Objective::MinAreaDelayProduct)
-        .expect("FIR maps");
+    let reports: Vec<_> = nets
+        .iter()
+        .map(|net| {
+            flow.map(net, Objective::MinAreaDelayProduct)
+                .expect("dsp circuit maps")
+        })
+        .collect();
     let profile = observe::stop_sampler().expect("profile comes back");
     teardown();
 
@@ -78,51 +83,67 @@ fn profiled_flow_reconciles_with_phase_times() {
     );
     assert!(profile.torn_samples <= profile.ticks / 10);
 
-    let t = report.phase_times;
-    t.reconcile(0.10, 5.0).expect("phase_times self-consistent");
+    for report in &reports {
+        let t = report.phase_times;
+        t.reconcile(0.10, 5.0).expect("phase_times self-consistent");
+    }
+    // Every map is one `flow` root, so a path's samples cover the sum of
+    // that phase's wall time over the maps.
+    let wall = |phase: fn(&PhaseTimes) -> f64| -> f64 {
+        reports.iter().map(|r| phase(&r.phase_times)).sum()
+    };
 
-    // Sampling is statistical: only phases long enough to accumulate a
-    // meaningful sample count are held to the reconciliation bar, and
-    // the tolerance accounts for +-1-sample quantization on top of the
-    // 10% artifact bar.
-    let us_per_sample = profile.us_per_sample();
-    assert!(us_per_sample > 0.0, "no samples at all");
-    let min_ms = (us_per_sample / 1e3) * 100.0; // >= ~100 samples
+    // Sampling is statistical. A sampler that falls behind under host
+    // load skips ticks rather than catching up, so a short phase can
+    // lose a burst of samples that the run-wide rate does not see. Only
+    // a phase that really collected MIN_SAMPLES samples (30 ms of
+    // sampling at 10 kHz, many scheduler time slices) is held to the
+    // bar; the count is the sampler's own, not one inferred from wall
+    // time.
+    const MIN_SAMPLES: u64 = 300;
+    assert!(profile.us_per_sample() > 0.0, "no samples at all");
+    let samples = |key: &str| {
+        profile
+            .paths
+            .iter()
+            .find(|p| p.key() == key)
+            .map_or(0, |p| p.inclusive)
+    };
     let phases = [
-        ("folding-select", t.folding_select_ms),
-        ("fds", t.fds_ms),
-        ("pack", t.pack_ms),
-        ("place", t.place_ms),
-        ("route", t.route_ms),
-        ("verify", t.verify_ms),
+        ("folding-select", wall(|t| t.folding_select_ms)),
+        ("fds", wall(|t| t.fds_ms)),
+        ("pack", wall(|t| t.pack_ms)),
+        ("place", wall(|t| t.place_ms)),
+        ("route", wall(|t| t.route_ms)),
+        ("verify", wall(|t| t.verify_ms)),
     ];
-    let mut checked = 0;
+    let mut checked = Vec::new();
     for (phase, wall_ms) in phases {
-        if wall_ms < min_ms {
+        let key = format!("flow;{phase}");
+        if samples(&key) < MIN_SAMPLES {
             continue;
         }
-        let sampled_ms = profile.inclusive_ms(&format!("flow;{phase}"));
+        let sampled_ms = profile.inclusive_ms(&key);
         let err = (sampled_ms - wall_ms).abs() / wall_ms;
         assert!(
             err < 0.25,
             "{phase}: sampled {sampled_ms:.1} ms vs wall {wall_ms:.1} ms ({:.0}% off)",
             err * 100.0
         );
-        checked += 1;
+        checked.push(phase);
     }
-    // The flow root must always reconcile — in debug builds ex1 runs
-    // long enough for thousands of samples.
-    let flow_sampled = profile.inclusive_ms("flow");
-    if t.total_ms >= min_ms {
-        let err = (flow_sampled - t.total_ms).abs() / t.total_ms;
-        assert!(
-            err < 0.15,
-            "flow: sampled {flow_sampled:.1} ms vs wall {:.1} ms",
-            t.total_ms
-        );
-        checked += 1;
-    }
-    assert!(checked > 0, "flow too fast to validate any phase");
+    assert!(
+        checked.len() >= 2,
+        "only {checked:?} collected {MIN_SAMPLES} samples: {phases:?}"
+    );
+    // The flow root spans every phase, so it always clears the floor.
+    assert!(samples("flow") >= MIN_SAMPLES, "flow root undersampled");
+    let (flow_sampled, total_ms) = (profile.inclusive_ms("flow"), wall(|t| t.total_ms));
+    let err = (flow_sampled - total_ms).abs() / total_ms;
+    assert!(
+        err < 0.15,
+        "flow: sampled {flow_sampled:.1} ms vs wall {total_ms:.1} ms"
+    );
 
     // Collapsed stacks render every exclusive path.
     let collapsed = profile.collapsed();

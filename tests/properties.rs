@@ -400,14 +400,14 @@ fn packing_respects_capacity() {
         let design = TemporalDesign::new(&net, &planes, graphs, schedules).expect("valid");
         let arch = ArchParams::paper_unbounded();
         let packing = pack(&design, &arch, PackOptions::default()).expect("packs");
-        assert_eq!(packing.lut_smb.len(), net.num_luts(), "case {case}");
-        for (&(smb, _), &occ) in &packing.lut_occupancy {
+        assert_eq!(packing.luts().count(), net.num_luts(), "case {case}");
+        for (_, smb, _) in packing.luts() {
             assert!(smb < packing.num_smbs, "case {case}");
-            assert!(occ <= arch.luts_per_smb(), "case {case}");
         }
-        for (&(smb, _), &occ) in &packing.ff_occupancy {
+        for (smb, _, luts, ffs) in packing.occupancy() {
             assert!(smb < packing.num_smbs, "case {case}");
-            assert!(occ <= arch.ffs_per_smb(), "case {case}");
+            assert!(luts <= arch.luts_per_smb(), "case {case}");
+            assert!(ffs <= arch.ffs_per_smb(), "case {case}");
         }
     }
 }
